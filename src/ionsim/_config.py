@@ -13,8 +13,10 @@ prefix split, so "u" is always the mass unit and "um" is micrometers.
 
 Frequencies declared angular in a schema are multiplied by 2*pi on the
 way in, so handlers always see rad/s; rate-type fields (unit Hz, not
-angular) pass through as plain 1/s. Every validation failure raises
-ConfigError with the dotted path of the offending key in the message.
+angular) pass through as plain 1/s. Numbers must be finite: NaN,
+Infinity and values that overflow (such as "1e400 MHz") are rejected.
+Every validation failure raises ConfigError with the dotted path of the
+offending key in the message.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def parse_quantity(value: Any, dimension: str, path: str) -> float:
         raise ConfigError(
             f"{path}: expected a quantity in {dimension}, got {value!r} ({dim})"
         )
-    return float(number) * factor
+    return _finite(float(number) * factor, value, path)
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,20 @@ class Field:
     schema: dict | None = None   # sub-schema for kind="block"
 
 
+def _finite(x: float, v: Any, path: str) -> float:
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: {v!r} is not a finite number")
+    return x
+
+
 def _want_number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a plain number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    return _finite(x, v, path)
 
 
 def _want_int(v: Any, path: str) -> int:
@@ -147,7 +159,7 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
         v = block[key]
         if f.kind == "quantity":
             x = parse_quantity(v, f.unit, here)
-            out[key] = x * (2.0 * math.pi) if f.angular else x
+            out[key] = _finite(x * (2.0 * math.pi), v, here) if f.angular else x
         elif f.kind == "number":
             out[key] = _want_number(v, here)
         elif f.kind == "int":
@@ -262,7 +274,7 @@ class ExperimentConfig:
 def parse_config_text(text: str, origin: str = "config") -> ExperimentConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:       # JSONDecodeError, or an integer too long to read
         raise ConfigError(f"{origin}: not valid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{origin}: top level must be an object")

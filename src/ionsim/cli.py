@@ -8,7 +8,9 @@ versions, and pass/fail against the file's declared expectations.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 physics-model error raised by the library. A failed
-expectation is recorded in the manifest but is not an error; pass
+expectation is recorded in the manifest but is not an error, and a
+non-finite metric fails every expectation on it (``--json`` writes it as
+null, so the summary stays strict JSON); pass
 --strict to escalate model warnings (truncation, regime stretch) to
 exit 3.
 
@@ -407,7 +409,7 @@ _HEAT_SCHEMA = {
     "initial": Field("block", schema=_INITIAL_SCHEMA),
     "t_end": Field("quantity", unit="s"),
     "points": Field("int", default=60),
-    "dt": Field("quantity", unit="s"),
+    "dt": Field("quantity", unit="s"),              # accepted, unused: exact propagator
     # estimators (shared ion properties)
     "mass": Field("quantity", unit="kg"),
     "charge": Field("quantity", unit="C"),
@@ -451,8 +453,6 @@ def _run_heat(p: dict, seed: int) -> RunResult:
         rho = _diag_density(p["initial"])
         n_max = rho.n_max
         b = BathParams(gamma=p["gamma"], nbar=p["nbar"])
-        bound = 0.01 / (b.gamma * (b.nbar + 1.0) * (n_max + 1))
-        dt = p["dt"] if p["dt"] is not None else 0.9 * bound
         grid = np.linspace(0.0, p["t_end"], p["points"])
         levels = np.arange(n_max + 1)
         cols = [("t", "s"), ("mean_n", ""), ("P0", ""), ("P1", ""), ("P2", "")]
@@ -467,7 +467,7 @@ def _run_heat(p: dict, seed: int) -> RunResult:
 
         record(0.0, rho)
         for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            rho = master_equation_evolve(rho, b, float(t_next - t_prev), dt)
+            rho = master_equation_evolve(rho, b, float(t_next - t_prev))
             record(t_next, rho)
         nb = b.nbar
         p_th = (1.0 / (1.0 + nb)) * (nb / (1.0 + nb)) ** levels
@@ -798,6 +798,10 @@ def evaluate_expectations(expect: list, metrics: dict) -> list[dict]:
                         "detail": "metric not produced by this run"})
             continue
         v = float(metrics[name])
+        if not math.isfinite(v):
+            out.append({"metric": name, "status": "FAIL",
+                        "detail": f"value {v!r} is not finite"})
+            continue
         if "value" in e:
             target = e["value"]
             rtol = e.get("rtol", 0.0)
@@ -977,11 +981,12 @@ def _cmd_run(args) -> int:
             "scenario": name,
             "kind": cfg.kind,
             "seed": seed,
-            "metrics": {k: float(v) for k, v in result.metrics.items()},
+            "metrics": {k: float(v) if math.isfinite(v) else None
+                        for k, v in result.metrics.items()},
             "expectations": checks,
             "outputs": outputs,
             "result": "PASS" if failed == 0 else "FAIL",
-        }, indent=1, sort_keys=True))
+        }, indent=1, sort_keys=True, allow_nan=False))
     else:
         print(f"scenario {name} (kind {cfg.kind}, seed {seed})")
         for o in outputs:

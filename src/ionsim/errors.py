@@ -70,11 +70,6 @@ class TimeOrderError(IonsimError):
     """Events supplied to a phase ledger are not in causal (time) order."""
 
 
-class StiffnessError(IonsimError):
-    """Fixed-step integration was requested with a step too coarse for the
-    fastest decay rate in the generator."""
-
-
 class IllConditionedError(IonsimError):
     """A least-squares inversion is too ill-conditioned to be meaningful."""
 

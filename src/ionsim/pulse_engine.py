@@ -19,7 +19,9 @@ convention cannot leak into reported numbers.
 Pulse areas. Because the matrix element depends on the Fock level, "a pi
 pulse" is only meaningful against a named reference pair. PulseSpec.theta
 is the pulse area accumulated on that pair (twice the Rabi angle); the
-amplitude error zeta adds to the area and phi_err to the field phase.
+amplitude error zeta adds to the area and phi_err to the field phase. An
+error that drives the area below zero is applied as the area |theta+zeta|
+at phase phi+pi.
 """
 
 from __future__ import annotations
@@ -260,9 +262,10 @@ def pulse_unitary(p: PulseSpec, n_max: int, ledger_phase: float = 0.0) -> np.nda
     (apply_pulse does this).
     """
     theta_eff = p.theta + p.zeta
-    if theta_eff < 0:
-        raise RangeError("injected area error drives the pulse area negative")
     phi_tot = p.phi + p.phi_err + ledger_phase
+    if theta_eff < 0:
+        # the same pulse with its phase shifted by pi
+        theta_eff, phi_tot = -theta_eff, phi_tot + math.pi
     dn = 0 if p.transition == "carrier" else p.order
 
     ref = p.reference_pair

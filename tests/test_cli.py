@@ -84,6 +84,12 @@ def test_unparseable_quantity_string():
         parse_quantity("fast", "Hz", "p")
 
 
+@pytest.mark.parametrize("bad", ["1e400 MHz", "1e300 THz", "-1e400 Hz"])
+def test_overflowing_quantity_rejected_with_path(bad):
+    with pytest.raises(ConfigError, match=r"params\.Omega: .* not a finite number"):
+        parse_quantity(bad, "Hz", "params.Omega")
+
+
 # ---------------------------------------------------------------------------
 # schema validation
 
@@ -95,6 +101,23 @@ DEMO_SCHEMA = {
     "mode": Field("str", choices=("fast", "slow"), default="fast"),
     "inner": Field("block", schema={"nbar": Field("number", required=True)}),
 }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_validate_block_rejects_non_finite_numbers(bad):
+    with pytest.raises(ConfigError, match=r"params\.eta: .* not a finite number"):
+        validate_block({"omega": "1 Hz", "eta": bad}, DEMO_SCHEMA, "params")
+
+
+def test_validate_block_rejects_angular_overflow():
+    # finite in Hz, infinite once multiplied by 2*pi
+    with pytest.raises(ConfigError, match=r"params\.omega: .* not a finite number"):
+        validate_block({"omega": "1e308 Hz"}, DEMO_SCHEMA, "params")
+
+
+def test_envelope_overlong_integer_is_config_error():
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config_text('{"kind": "rabi", "seed": ' + "9" * 5000 + "}")
 
 
 def test_validate_block_converts_and_defaults():
@@ -209,6 +232,49 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "no.such.scenario", "--out", str(tmp_path)])
     assert rc == 2
     assert "no such config file or bundled scenario" in capsys.readouterr().err
+
+
+def _bundled(name):
+    return json.loads(cli._scenario_dir().joinpath(name + ".json").read_text())
+
+
+def test_run_nan_eta_exits_2_naming_key(tmp_path, capsys):
+    body = _bundled("rabi.ladder")
+    body["params"]["eta"] = math.nan
+    cfg = write_cfg(tmp_path, body)
+    rc = cli.main(["run", cfg, "--json", "--out", str(tmp_path / "out")])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert "params.eta" in cap.err and "not a finite number" in cap.err
+    assert cap.out == ""
+
+
+def test_heat_without_relaxation_keeps_exit_contract(tmp_path, capsys):
+    body = _bundled("heat.master_equation")
+    body["params"]["gamma"] = "0 Hz"
+    cfg = write_cfg(tmp_path, body)
+    rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_json_non_finite_metric_is_null_and_fails(tmp_path, capsys):
+    # no spectator coupling: both residues vanish and their ratio is inf
+    body = _bundled("noise.spectator")
+    body["params"]["Omega_prime"] = "0 Hz"
+    body["expect"] = [{"metric": "suppression_ratio", "min": 20.0}]
+    cfg = write_cfg(tmp_path, body)
+    rc = cli.main(["run", cfg, "--json", "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["metrics"]["suppression_ratio"] is None
+    assert doc["expectations"][0]["status"] == "FAIL"
+    assert "not finite" in doc["expectations"][0]["detail"]
+    assert doc["result"] == "FAIL"
 
 
 def test_run_physics_error_exits_3(tmp_path, capsys):
@@ -423,6 +489,23 @@ def test_bundled_scenario_passes(name, tmp_path, recwarn):
     man = (out / f"{name}.manifest.txt").read_text()
     assert "result: PASS" in man
     assert "FAIL" not in man
+
+
+def test_library_runs_without_scipy_optimize_or_integrate():
+    # both packages together hold about 17 MB of resident memory
+    code = (
+        "import sys\n"
+        "from ionsim import cli, coupling, decoherence\n"
+        "coupling.magic_eta(2, 0, 1)\n"
+        "decoherence.spectator_leakage(1.0, 1.0, 20.0, envelope='smooth',"
+        " duration=3.0, tau_r=1.0)\n"
+        "assert cli.main(['list']) == 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_module_runnable_as_script(tmp_path):

@@ -694,6 +694,32 @@ def test_random_error_scaling_slope():
     assert slope == pytest.approx(1.0, abs=0.15)
 
 
+def test_negative_area_is_signed_rotation():
+    # theta + zeta < 0 runs as area |theta + zeta| at phase phi + pi, which
+    # on resonance is the rotation at the signed area
+    n_max, theta, zeta, phi = 3, 0.2, -0.7, 0.4
+    c, s = math.cos((theta + zeta) / 2), math.sin((theta + zeta) / 2)
+    for transition, dn, (nu, nl) in (("carrier", 0, (0, 0)), ("blue", 1, (1, 0))):
+        spec = PulseSpec(transition, theta, CouplingParams(1.0, 0.1), phi=phi, zeta=zeta)
+        U = pulse_unitary(spec, n_max)
+        idx = [index_of(SPIN_UP, nu, n_max), index_of(SPIN_DOWN, nl, n_max)]
+        ph = phi + 0.5 * math.pi * dn
+        expected = np.array(
+            [
+                [c, -1j * np.exp(1j * ph) * s],
+                [-1j * np.exp(-1j * ph) * s, c],
+            ]
+        )
+        assert np.max(np.abs(U[np.ix_(idx, idx)] - expected)) < 1e-14
+
+
+def test_noisy_sequence_survives_negative_area_draws():
+    # zeta_rms far above theta: most draws drive the area below zero
+    seq = [PulseSpec("carrier", 0.01, CouplingParams(1.0, 0.0))] * 4
+    out = noisy_sequence_fidelity(seq, {"zeta_rms": 0.5}, trials=8, base_seed=0)
+    assert 0.0 <= out["F_mean"] <= 1.0
+
+
 def test_noisy_sequence_validation_and_determinism():
     c = CouplingParams(1.0, 0.0)
     seq = [PulseSpec("carrier", math.pi, c)]
