@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import erf, gammaln, i0
 
 from .errors import (
@@ -124,22 +125,6 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0 else 0.0
 
 
-def _bisect(f, a: float, b: float, fa: float) -> float:
-    """Root of f bracketed by a sign change on [a, b], to 1e-15 in x."""
-    while b - a > 1e-15:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> list[float]:
     """Confinement parameters where a carrier pulse flips exactly one Fock level.
 
@@ -182,7 +167,7 @@ def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> lis
         if fa == 0.0 and a > 0.0:
             roots.append(a)
         elif fa * fb < 0.0:
-            roots.append(_bisect(f, a, b, fa))
+            roots.append(brentq(f, a, b, xtol=1e-15))
     roots = sorted(math.sqrt(x) for x in roots if 0.0 < x < 1.0)
     if not roots:
         raise NoRootError(

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import j0, jv
+from scipy.optimize import nnls
 from scipy import constants as _const
 
 from .errors import (
-    ConvergenceError,
     DimensionError,
     IllConditionedError,
     ModelInputError,
@@ -320,35 +320,6 @@ def rabi_decay_signal(
     return RabiSignal(tau, 0.5 * (1.0 + comps.sum(axis=0)))
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lawson-Hanson active-set solution of min ||A x - b|| subject to x >= 0."""
-    n = A.shape[1]
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    # roundoff level of the gradient A^T (b - A x)
-    tol = 10.0 * np.finfo(float).eps * max(A.shape) * np.linalg.norm(A, 1) * np.linalg.norm(b)
-    for _ in range(3 * n):
-        w = A.T @ (b - A @ x)
-        if passive.all() or np.max(w[~passive]) <= tol:
-            return x
-        passive[np.argmax(np.where(passive, -np.inf, w))] = True
-        while True:
-            z = np.zeros(n)
-            if passive.any():
-                z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-            if np.all(z[passive] > 0.0):
-                break
-            # step back to the first variable that reaches zero and release it
-            hit = np.flatnonzero(passive & (z <= 0.0))
-            ratio = x[hit] / np.maximum(x[hit] - z[hit], np.finfo(float).tiny)
-            k = np.argmin(ratio)
-            x += ratio[k] * (z - x)
-            x[hit[k]] = 0.0
-            passive &= x > 0.0
-        x = z
-    raise ConvergenceError(f"non-negative least squares did not settle in {3 * n} steps")
-
-
 def invert_populations(
     sig: RabiSignal,
     coupling: CouplingParams,
@@ -394,7 +365,7 @@ def invert_populations(
     basis = np.exp(-np.outer(tau, rates)) * np.cos(2.0 * np.outer(tau, freqs))
     y = 2.0 * sig.P_down - 1.0
 
-    p_hat = _nnls(basis, y)
+    p_hat, _ = nnls(basis, y)
     total = p_hat.sum()
     if total > 1.0:
         p_hat = p_hat / total
@@ -523,42 +494,14 @@ def stark_phase_noise_ratio(
 # spectator level leakage
 
 
-def _exp_i(K: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(-i K) v for a Hermitian K, through its eigendecomposition."""
-    lam, V = np.linalg.eigh(K)
-    return V @ (np.exp(-1j * lam) * (V.conj().T @ v))
-
-
-def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return X @ Y - Y @ X
-
-
-_GAUSS3 = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
-
-
-def _ramp(A: np.ndarray, D: np.ndarray, g, t0: float, span: float, v: np.ndarray) -> np.ndarray:
-    """Propagate i dv/dt = (g(t) A + D) v over [t0, t0 + span].
-
-    Sixth-order Magnus integrator on three Gauss-Legendre nodes per step
-    (Blanes, Casas and Ros, BIT 40, 2000), so every step is an exact
-    unitary. Steps obey h (max row sum of |A| + max |D|) <= 0.4, with at
-    least 32 of them; the result then agrees with an adaptive DOP853
-    solution at rtol 1e-12 to about 1e-9.
-    """
-    nu = np.abs(A).sum(axis=1).max() + np.abs(D).max()
-    n = max(32, math.ceil(span * nu / 0.4))
-    h = span / n
-    for i in range(n):
-        t = t0 + i * h
-        g1, g2, g3 = (g(t + x * h) for x in _GAUSS3)
-        a1 = -1j * h * (g2 * A + D)
-        a2 = (-1j * h * math.sqrt(15.0) / 3.0 * (g3 - g1)) * A
-        a3 = (-1j * h * 10.0 / 3.0 * (g3 - 2.0 * g2 + g1)) * A
-        c1 = _commutator(a1, a2)
-        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        exponent = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        v = _exp_i(1j * exponent, v)
-    return v
+def _raised_cosine(t: float, T: float, tau_r: float) -> float:
+    if t <= 0.0 or t >= T:
+        return 0.0
+    if t < tau_r:
+        return 0.5 * (1.0 - math.cos(math.pi * t / tau_r))
+    if t > T - tau_r:
+        return 0.5 * (1.0 - math.cos(math.pi * (T - t) / tau_r))
+    return 1.0
 
 
 def spectator_leakage(
@@ -570,37 +513,30 @@ def spectator_leakage(
     tau_r: float | None = None,
     compensate: bool = False,
     initial=None,
+    steps_per_cycle: int = 60,
 ) -> dict:
     """Residual excitation of an off-resonant third level after a pulse.
 
     The drive couples the qubit pair at strength Omega and also reaches
     a spectator level detuned by Delta at strength Omega_prime. With
     amplitudes (C_dn, C_up, C_s) and laser offset delta from the qubit
-    resonance, the rotating-frame equations are
+    resonance, the rotating-frame equations
 
         dC_dn/dt = -i g(t) [Omega e^(+i delta t) C_up + Omega' e^(+i (delta-Delta) t) C_s]
         dC_up/dt = -i g(t) Omega  e^(-i delta t) C_dn
         dC_s/dt  = -i g(t) Omega' e^(-i (delta-Delta) t) C_dn
 
-    under the envelope g(t): "square" switches instantly, "smooth" ramps
-    with a raised cosine of width tau_r at both ends (duration must cover
-    both ramps). The spectator also pulls the lower qubit level down by
-    Omega'^2/Delta; compensate=True retunes the drive onto the shifted
-    resonance.
-
-    In the frame (C_dn, C_up e^(i delta t), C_s e^(i (delta-Delta) t))
-    the generator H = [[0, g Omega, g Omega'], [g Omega, -delta, 0],
-    [g Omega', 0, Delta-delta]] depends on time only through g. A square
-    pulse, and the flat top of a smooth one, is therefore one exact 3x3
-    matrix exponential; only the two ramps are integrated, by a
-    sixth-order Magnus scheme whose steps are exact unitaries (see
-    _ramp; about 1e-9 in the amplitudes).
+    are integrated by fixed-step RK4 under the chosen envelope g(t):
+    "square" switches instantly, "smooth" ramps with a raised cosine of
+    width tau_r at both ends (duration must cover both ramps). The
+    spectator also pulls the lower qubit level down by Omega'^2/Delta;
+    compensate=True retunes the drive onto the shifted resonance.
 
     Returns the final amplitude magnitudes |C_dn| and |C_s| (the full
-    complex vector, in the original frame, rides along under
-    "amplitudes"), the adiabatic-following estimate |Omega' C_dn(T) / Delta|
-    the spectator freezes at under a sudden turn-off, the shift itself,
-    and the norm defect of the propagation.
+    complex vector rides along under "amplitudes"), the
+    adiabatic-following estimate |Omega' C_dn(T) / Delta| the spectator
+    freezes at under a sudden turn-off, the shift itself, and the
+    integrator norm defect.
     """
     if Delta == 0:
         raise ModelInputError("spectator detuning Delta must be nonzero")
@@ -624,18 +560,38 @@ def spectator_leakage(
     stark = Omega_prime**2 / Delta
     delta = stark if compensate else 0.0
     T = float(duration)
-    A = np.array([[0.0, Omega, Omega_prime], [Omega, 0.0, 0.0], [Omega_prime, 0.0, 0.0]])
-    detunings = np.array([0.0, -delta, Delta - delta])
-    D = np.diag(detunings)
+    w_max = max(abs(Delta), abs(Delta - delta), 2 * abs(Omega), 2 * abs(Omega_prime), abs(delta))
+    n_steps = max(400, int(math.ceil(steps_per_cycle * T * w_max / (2.0 * math.pi))))
+    h = T / n_steps
 
     if envelope == "square":
-        v = _exp_i(T * (A + D), c)
+        def g(_t: float) -> float:
+            return 1.0
     else:
-        w = math.pi / tau_r
-        v = _ramp(A, D, lambda t: 0.5 - 0.5 * math.cos(w * t), 0.0, tau_r, c)
-        v = _exp_i((T - 2.0 * tau_r) * (A + D), v)
-        v = _ramp(A, D, lambda t: 0.5 - 0.5 * math.cos(w * (T - t)), T - tau_r, tau_r, v)
-    v = v * np.exp(1j * detunings * T)     # back to the original frame
+        def g(t: float) -> float:
+            return _raised_cosine(t, T, tau_r)
+
+    def rhs(t: float, v: np.ndarray) -> np.ndarray:
+        gt = g(t)
+        e_up = np.exp(1j * delta * t)
+        e_s = np.exp(1j * (delta - Delta) * t)
+        return np.array(
+            [
+                -1j * gt * (Omega * e_up * v[1] + Omega_prime * e_s * v[2]),
+                -1j * gt * Omega * v[0] / e_up,
+                -1j * gt * Omega_prime * v[0] / e_s,
+            ]
+        )
+
+    v = c.copy()
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = rhs(t, v)
+        k2 = rhs(t + 0.5 * h, v + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, v + 0.5 * h * k2)
+        k4 = rhs(t + h, v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
 
     return {
         "C_final": float(abs(v[0])),

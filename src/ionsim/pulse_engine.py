@@ -50,9 +50,9 @@ from .quantum_core import (
     SPIN_UP,
     QuantumState,
     apply_unitary,
-    index_of,
     make_state,
     overlap,
+    truncation_guard,
 )
 
 TRANSITIONS = ("carrier", "red", "blue")
@@ -183,8 +183,8 @@ def two_level_rotation(
 
 def _require_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
     if __debug__:
-        d = U.shape[0]
-        defect = float(np.max(np.abs(U.conj().T @ U - np.eye(d))))
+        d = U.shape[-1]     # one matrix, or a stack of them
+        defect = float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(d))))
         if defect > tol:
             raise ModelInputError(f"constructed matrix is not unitary (defect {defect:.2e})")
 
@@ -253,14 +253,9 @@ def _transition_pairs(transition: str, order: int, n_max: int):
     return [(n, n + order) for n in range(n_max - order + 1)]
 
 
-def pulse_unitary(p: PulseSpec, n_max: int, ledger_phase: float = 0.0) -> np.ndarray:
-    """Full-space unitary of one pulse on the (spin x Fock) truncation.
-
-    Every coupled pair evolves for the same duration at its own exact
-    matrix element; uncoupled edge levels are left untouched. The caller
-    is responsible for checking that those edge levels are unpopulated
-    (apply_pulse does this).
-    """
+def _pulse_blocks(p: PulseSpec, n_max: int, ledger_phase: float):
+    """Flat indices of |up, nu> and |down, nl> for each coupled pair, and
+    the stacked 2x2 propagators of the pairs, shape (pairs, 2, 2)."""
     theta_eff = p.theta + p.zeta
     phi_tot = p.phi + p.phi_err + ledger_phase
     if theta_eff < 0:
@@ -278,18 +273,29 @@ def pulse_unitary(p: PulseSpec, n_max: int, ledger_phase: float = 0.0) -> np.nda
         raise RangeError(f"reference pair {ref} has a vanishing matrix element")
     t = theta_eff / (2.0 * abs(Omega_ref))
 
-    dim = 2 * (n_max + 1)
-    U = np.eye(dim, dtype=complex)
-    for nu, nl in _transition_pairs(p.transition, p.order, n_max):
-        blk = _rotation_block(
-            rabi_frequency(nu, nl, p.coupling), p.detuning_Delta, t, phi_tot, dn
-        )
-        iu = index_of(SPIN_UP, nu, n_max)
-        il = index_of(SPIN_DOWN, nl, n_max)
-        U[iu, iu] = blk[0, 0]
-        U[iu, il] = blk[0, 1]
-        U[il, iu] = blk[1, 0]
-        U[il, il] = blk[1, 1]
+    pairs = _transition_pairs(p.transition, p.order, n_max)
+    blocks = np.array([
+        _rotation_block(rabi_frequency(nu, nl, p.coupling), p.detuning_Delta, t, phi_tot, dn)
+        for nu, nl in pairs
+    ])
+    nu, nl = np.array(pairs).T
+    return n_max + 1 + nu, nl, blocks
+
+
+def pulse_unitary(p: PulseSpec, n_max: int, ledger_phase: float = 0.0) -> np.ndarray:
+    """Full-space unitary of one pulse on the (spin x Fock) truncation.
+
+    Every coupled pair evolves for the same duration at its own exact
+    matrix element; uncoupled edge levels are left untouched. The caller
+    is responsible for checking that those edge levels are unpopulated
+    (apply_pulse does this).
+    """
+    iu, il, blk = _pulse_blocks(p, n_max, ledger_phase)
+    U = np.eye(2 * (n_max + 1), dtype=complex)
+    U[iu, iu] = blk[:, 0, 0]
+    U[iu, il] = blk[:, 0, 1]
+    U[il, iu] = blk[:, 1, 0]
+    U[il, il] = blk[:, 1, 1]
     _require_unitary(U)
     return U
 
@@ -308,6 +314,7 @@ def apply_pulse(
     Fock truncation is refused (InvalidTransitionError) whenever the
     stranded edge levels carry population above 1e-12. With a ledger the
     accumulated phase for (ion, resonance class) offsets the field phase.
+    The pulse acts pair by pair; no full-space matrix is built.
     """
     if not isinstance(state, QuantumState):
         raise ModelInputError("apply_pulse acts on a QuantumState")
@@ -328,8 +335,15 @@ def apply_pulse(
                     f"would leave the truncation n_max={n_max}"
                 )
     lphase = ledger.phase(ion, transition_class(p)) if ledger is not None else 0.0
-    U = pulse_unitary(p, n_max, ledger_phase=lphase)
-    return apply_unitary(state, U, eps_trunc=eps_trunc, strict=strict)
+    iu, il, blk = _pulse_blocks(p, n_max, lphase)
+    _require_unitary(blk)
+    amps = state.amplitudes.astype(complex)
+    up, lo = amps[iu], amps[il]
+    amps[iu] = blk[:, 0, 0] * up + blk[:, 0, 1] * lo
+    amps[il] = blk[:, 1, 0] * up + blk[:, 1, 1] * lo
+    out = QuantumState(amps, n_max)
+    truncation_guard(out.truncation_tail(), eps_trunc, strict)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -246,23 +246,23 @@ def apply_unitary(
         out = QuantumState(U @ state.amplitudes, state.n_max)
         if abs(out.norm() - 1.0) > 1e-12 and abs(state.norm() - 1.0) <= 1e-12:
             raise ModelInputError("unitary application failed to preserve the norm")
-        tail = out.truncation_tail()
-        if tail > eps_trunc:
-            msg = f"population {tail:.2e} in the top two Fock levels (guard {eps_trunc:.1e})"
-            if strict:
-                raise TruncationError(msg)
-            warnings.warn(msg, TruncationWarning)
+        truncation_guard(out.truncation_tail(), eps_trunc, strict)
         return out
 
     out_rho = U @ state.rho @ U.conj().T
     out = DensityMatrix(out_rho, state.n_max, validate=False)
-    tail = float(np.sum(np.diag(out.rho).real[-2:]))
+    truncation_guard(float(np.sum(np.diag(out.rho).real[-2:])), eps_trunc, strict)
+    return out
+
+
+def truncation_guard(tail: float, eps_trunc: float, strict: bool) -> None:
+    """Warn (TruncationWarning), or raise TruncationError when strict, if
+    the top two Fock levels hold more than eps_trunc."""
     if tail > eps_trunc:
         msg = f"population {tail:.2e} in the top two Fock levels (guard {eps_trunc:.1e})"
         if strict:
             raise TruncationError(msg)
         warnings.warn(msg, TruncationWarning)
-    return out
 
 
 def overlap(a: QuantumState, b: QuantumState) -> complex:

@@ -491,23 +491,6 @@ def test_bundled_scenario_passes(name, tmp_path, recwarn):
     assert "FAIL" not in man
 
 
-def test_library_runs_without_scipy_optimize_or_integrate():
-    # both packages together hold about 17 MB of resident memory
-    code = (
-        "import sys\n"
-        "from ionsim import cli, coupling, decoherence\n"
-        "coupling.magic_eta(2, 0, 1)\n"
-        "decoherence.spectator_leakage(1.0, 1.0, 20.0, envelope='smooth',"
-        " duration=3.0, tau_r=1.0)\n"
-        "assert cli.main(['list']) == 0\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip().splitlines()[-1] == "[]"
-
-
 def test_module_runnable_as_script(tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "ionsim.cli", "run", "gate.cn_single",

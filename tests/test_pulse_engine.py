@@ -310,6 +310,33 @@ def test_apply_pulse_norm_conservation_property():
         assert unitary_defect(pulse_unitary(p, n_max)) < 1e-10
 
 
+
+def test_apply_pulse_matches_full_space_unitary():
+    # apply_pulse acts pair by pair; the dense pulse_unitary is the reference
+    rng = np.random.default_rng(31)
+    ledger = PhaseLedger()
+    for klass, seg in (("carrier", (0.0, 1.3, 0.7)), ("red1", (1.3, 2.0, -0.4)),
+                       ("blue2", (2.0, 2.5, 1.1))):
+        phase_ledger_advance(ledger, 0, [seg], klass)
+    for n_max in (1, 4, 60):
+        for tr, order in (("carrier", 1), ("red", 1), ("blue", 1), ("red", 2), ("blue", 2)):
+            if order > n_max:
+                continue
+            st = random_state(rng, n_max, top_empty=order)
+            p = PulseSpec(tr, float(rng.uniform(-1.0, 4 * math.pi)),
+                          CouplingParams(float(rng.uniform(0.5, 2.0)), 0.2),
+                          phi=float(rng.uniform(-math.pi, math.pi)),
+                          detuning_Delta=float(rng.normal()), order=order)
+            lphase = ledger.phase(0, transition_class(p))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                got = apply_pulse(st, p, ledger=ledger)
+                want = apply_unitary(st, pulse_unitary(p, n_max, ledger_phase=lphase))
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-13
+    with pytest.raises(TruncationError):
+        apply_pulse(make_state("fock", n_max=4, n=3), PulseSpec("blue", math.pi,
+                    CouplingParams(1.0, 0.1)), strict=True)
+
 # -------------------------------------------------------------- phase gate
 
 
