@@ -13,6 +13,7 @@ from ionsim.coupling import (
     CouplingParams,
     ModeEnsemble,
     debye_waller_stats,
+    ladder,
     magic_eta,
     rabi_frequency,
 )
@@ -20,11 +21,11 @@ from ionsim.coupling import (
 c = CouplingParams(Omega=1.0, eta=0.2)
 print("carrier and first sidebands vs n (eta = 0.2):")
 print("  n   carrier    red       blue")
+car = ladder(0, 6, c)        # Omega_{n,n}, n = 0..5, in one pass
+blue = ladder(1, 6, c)       # Omega_{n+1,n}; the red sideband of n is blue[n-1]
 for n in range(6):
-    car = rabi_frequency(n, n, c)
-    red = rabi_frequency(n, n - 1, c) if n > 0 else float("nan")
-    blue = rabi_frequency(n + 1, n, c)
-    print(f"  {n}   {car:8.5f}  {red:8.5f}  {blue:8.5f}")
+    red = blue[n - 1] if n > 0 else float("nan")
+    print(f"  {n}   {car[n]:8.5f}  {red:8.5f}  {blue[n]:8.5f}")
 
 eta_m = magic_eta(1, 0, 1)[0]
 cm = CouplingParams(1.0, eta_m)

@@ -309,12 +309,3 @@ def parse_config_text(text: str, origin: str = "config") -> ExperimentConfig:
             raise ConfigError("strict: expected true/false")
         cfg.strict = raw["strict"]
     return cfg
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"{path}: cannot read config ({err})") from err
-    return parse_config_text(text, origin=path)

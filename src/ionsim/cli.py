@@ -36,10 +36,10 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from ._config import ExperimentConfig, Field, load_config, parse_config_text, validate_block
+from ._config import ExperimentConfig, Field, parse_config_text, validate_block
 from ._svg import line_plot
 from .cooling import CoolingConfig, cooling_limit, sideband_cool
-from .coupling import CouplingParams, ModeEnsemble, debye_waller_stats, magic_eta, rabi_frequency
+from .coupling import CouplingParams, ModeEnsemble, debye_waller_stats, ladder, magic_eta
 from .decoherence import (
     BathParams,
     RabiSignal,
@@ -236,14 +236,16 @@ def _run_rabi(p: dict, seed: int) -> RunResult:
     if p["op"] == "ladder":
         if p["n_top"] < 0:
             raise ConfigError("params.n_top: must be >= 0")
+        if p["Omega"] <= 0:
+            raise ConfigError("params.Omega: must be > 0 for op 'ladder'")
         cols = [("n", ""), ("carrier", "Hz"), ("red_sideband", "Hz"),
                 ("blue_sideband", "Hz")]
-        rows = []
-        for n in range(p["n_top"] + 1):
-            carrier = abs(rabi_frequency(n, n, c)) / TWO_PI
-            red = abs(rabi_frequency(n - 1, n, c)) / TWO_PI if n > 0 else 0.0
-            blue = abs(rabi_frequency(n + 1, n, c)) / TWO_PI
-            rows.append((n, float(carrier), float(red), float(blue)))
+        count = p["n_top"] + 1
+        carrier = np.abs(ladder(0, count, c)) / TWO_PI
+        blue = np.abs(ladder(1, count, c)) / TWO_PI   # n -> n+1
+        red = np.concatenate(([0.0], blue[:-1]))      # n -> n-1
+        rows = [(n, float(a), float(r), float(b))
+                for n, (a, r, b) in enumerate(zip(carrier, red, blue))]
         metrics = {
             "carrier0_Hz": rows[0][1],
             "blue0_Hz": rows[0][3],
@@ -606,9 +608,12 @@ def _run_noise(p: dict, seed: int) -> RunResult:
             for t, a, b, c, d in zip(tau, gauss, lap, fast["closed_form"],
                                      fast["phi_average"])
         ]
+        rms = p["slow_rms"]       # without slow noise the contrast never halves
         metrics = {
-            "gauss_half_contrast_s": math.sqrt(math.log(2.0) / 2.0) / p["slow_rms"],
-            "laplace_half_contrast_s": 1.0 / (math.sqrt(2.0) * p["slow_rms"]),
+            "gauss_half_contrast_s": (math.sqrt(math.log(2.0) / 2.0) / rms
+                                      if rms > 0 else math.inf),
+            "laplace_half_contrast_s": (1.0 / (math.sqrt(2.0) * rms)
+                                        if rms > 0 else math.inf),
             "fast_max_closed_err": float(
                 np.max(np.abs(fast["closed_form"] - fast["phi_average"]))
             ),

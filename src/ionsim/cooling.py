@@ -14,15 +14,14 @@ the absolute Rabi rate: only area ratios between ladder rungs enter the
 transfer probabilities. An area of pi/2 empties n=1 completely.
 """
 
-import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import constants as _const
 
-from .coupling import CouplingParams, rabi_frequency
+from .coupling import CouplingParams, ladder, rabi_frequency
 from .errors import (
     ModelInputError,
     RangeError,
@@ -114,13 +113,6 @@ class CoolingResult:
     p0: np.ndarray
     pulse_areas: np.ndarray
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("cycle,mean_n,P0\n")
-        for k, (m, p) in enumerate(zip(self.mean_n, self.p0)):
-            buf.write(f"{k},{float(m)!r},{float(p)!r}\n")
-        return buf.getvalue()
-
 
 def recoil_frequency(wavelength: float, mass: float) -> float:
     """Photon recoil frequency hbar*k^2/(2m) in rad/s.
@@ -190,11 +182,9 @@ def sideband_cool(initial: DensityMatrix, cfg: CoolingConfig, seed=None) -> Cool
         )
 
     c = CouplingParams(Omega=1.0, eta=cfg.eta)
-    # ladder rates relative to the 1<->0 sideband; area pi/2 empties n=1
-    r10 = rabi_frequency(1, 0, c)
-    ratio = np.array(
-        [abs(rabi_frequency(n, n - 1, c)) / abs(r10) for n in range(1, n_max + 1)]
-    )
+    # n <-> n-1 rates for n = 1..n_max relative to the 1<->0 sideband;
+    # area pi/2 empties n=1
+    ratio = np.abs(ladder(1, n_max, c)) / abs(rabi_frequency(1, 0, c))
 
     h = cfg.recoil_ratio
     if h >= 1.0:

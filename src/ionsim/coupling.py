@@ -66,22 +66,49 @@ class ModeEnsemble:
         return self.etas[keep], self.nbars[keep]
 
 
-def laguerre(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^alpha(x).
+def _laguerre_rows(count: int, alpha: float, x):
+    """L_0^alpha(x), ..., L_{count-1}^alpha(x) stacked on axis 0.
 
-    Upward three-term recurrence in n, stable for the small-argument
-    regime this package uses (x = eta^2 <= 1).
+    One upward three-term recurrence in n, stable for the small-argument
+    regime this package uses (x = eta^2 <= 1). x is a float or an array;
+    the result has shape (count,) + shape(x).
     """
+    out = np.empty((count,) + np.shape(x))
+    out[:1] = 1.0
+    lm2, lm1 = 0.0, 1.0
+    for k in range(1, count):
+        lm2, lm1 = lm1, ((2 * k - 1 + alpha - x) * lm1 - (k - 1 + alpha) * lm2) / k
+        out[k] = lm1
+    return out
+
+
+def laguerre(n: int, alpha: float, x):
+    """Generalized Laguerre polynomial L_n^alpha(x), for a float or an array x."""
     if n < 0:
         raise RangeError("n must be >= 0")
     if alpha < 0:
         raise RangeError("alpha must be >= 0")
-    if n == 0:
-        return 1.0
-    lm2, lm1 = 1.0, 1.0 + alpha - x
-    for k in range(2, n + 1):
-        lm2, lm1 = lm1, ((2 * k - 1 + alpha - x) * lm1 - (k - 1 + alpha) * lm2) / k
-    return lm1
+    return _laguerre_rows(n + 1, alpha, x)[n]
+
+
+def ladder(dn: int, count: int, c: CouplingParams) -> np.ndarray:
+    """Exact matrix elements Omega_{n+dn,n} for n = 0..count-1, in one pass.
+
+    Omega * exp(-eta^2/2) * sqrt(n!/(n+dn)!) * eta^dn * L_n^dn(eta^2),
+    with the sign of the Laguerre factor kept.
+    """
+    if dn < 0 or count < 0:
+        raise RangeError("dn and count must be >= 0")
+    if c.eta == 0 and dn > 0:
+        return np.zeros(count)
+    x = c.eta**2
+    n = np.arange(count)
+    log_ratio = 0.5 * (gammaln(n + 1) - gammaln(n + dn + 1))
+    return (
+        c.Omega
+        * np.exp(-x / 2.0 + log_ratio + dn * _safe_log(c.eta))
+        * _laguerre_rows(count, dn, x)
+    )
 
 
 def rabi_frequency(
@@ -93,8 +120,8 @@ def rabi_frequency(
     dn = |n_hi - n_lo|:
 
     mode="exact"
-        Omega * exp(-eta^2/2) * sqrt(n<!/n>!) * eta^dn * L_{n<}^{dn}(eta^2).
-        The sign of the Laguerre factor is kept.
+        Omega * exp(-eta^2/2) * sqrt(n<!/n>!) * eta^dn * L_{n<}^{dn}(eta^2),
+        the n< entry of ladder(dn, n< + 1, c).
     mode="lamb_dicke"
         Leading order in eta: Omega * eta^dn * sqrt(n>!/n<!) / dn!
         (carrier Omega, first sidebands Omega*eta*sqrt(n>), ...).
@@ -104,15 +131,7 @@ def rabi_frequency(
     n_lt, n_gt = min(n_hi, n_lo), max(n_hi, n_lo)
     dn = n_gt - n_lt
     if mode == "exact":
-        x = c.eta**2
-        log_ratio = 0.5 * (gammaln(n_lt + 1) - gammaln(n_gt + 1))
-        return (
-            c.Omega
-            * math.exp(-x / 2.0 + log_ratio + dn * _safe_log(c.eta))
-            * laguerre(n_lt, dn, x)
-            if c.eta > 0 or dn == 0
-            else 0.0
-        )
+        return float(ladder(dn, n_lt + 1, c)[n_lt])
     if mode == "lamb_dicke":
         log_ratio = 0.5 * (gammaln(n_gt + 1) - gammaln(n_lt + 1))
         if c.eta == 0 and dn > 0:
@@ -161,7 +180,7 @@ def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> lis
         return laguerre(level_n, 0, x) - r
 
     xs = np.linspace(0.0, 1.0, 2001)
-    vals = [f(x) for x in xs]
+    vals = f(xs)
     roots = []
     for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if fa == 0.0 and a > 0.0:

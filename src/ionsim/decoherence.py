@@ -18,7 +18,6 @@ and every Monte Carlo style check lives in the test suite, not here.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -35,14 +34,8 @@ from .errors import (
     RangeError,
     TruncationError,
 )
-from .quantum_core import (
-    SPIN_DOWN,
-    SPIN_UP,
-    DensityMatrix,
-    QuantumState,
-    index_of,
-)
-from .coupling import CouplingParams, rabi_frequency
+from .quantum_core import SPIN_UP, DensityMatrix, QuantumState
+from .coupling import CouplingParams, ladder
 from .pulse_engine import PulseSpec, apply_pulse
 
 __all__ = [
@@ -127,39 +120,6 @@ class RabiSignal:
             if np.min(v) < 0:
                 raise ModelInputError("variance must be nonnegative")
             self.variance = v
-
-    def to_csv(self) -> str:
-        """Serialize as 'tau,P_down[,variance]' rows with a header line."""
-        buf = io.StringIO()
-        if self.variance is None:
-            buf.write("tau,P_down\n")
-            for t, p in zip(self.tau_grid, self.P_down):
-                buf.write(f"{float(t)!r},{float(p)!r}\n")
-        else:
-            buf.write("tau,P_down,variance\n")
-            for t, p, v in zip(self.tau_grid, self.P_down, self.variance):
-                buf.write(f"{float(t)!r},{float(p)!r},{float(v)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "RabiSignal":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ModelInputError("empty signal CSV")
-        header = [h.strip() for h in lines[0].split(",")]
-        if header[:2] != ["tau", "P_down"]:
-            raise ModelInputError(f"unrecognized signal header {lines[0]!r}")
-        has_var = len(header) == 3 and header[2] == "variance"
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != len(header):
-                raise ModelInputError(f"malformed signal row {ln!r}")
-            rows.append([float(x) for x in parts])
-        arr = np.asarray(rows, dtype=float)
-        if has_var:
-            return cls(arr[:, 0], arr[:, 1], arr[:, 2])
-        return cls(arr[:, 0], arr[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +271,7 @@ def rabi_decay_signal(
         raise ModelInputError(f"populations sum to {P.sum():.12f} > 1")
     tau = np.asarray(tau_grid, dtype=float)
     rates = _decay_rates(gamma_model, P.size)
-    freqs = np.array(
-        [rabi_frequency(n + 1, n, coupling) for n in range(P.size)]
-    )
+    freqs = ladder(1, P.size, coupling)
     comps = P[:, None] * np.exp(-rates[:, None] * tau) * np.cos(
         2.0 * freqs[:, None] * tau
     )
@@ -343,9 +301,7 @@ def invert_populations(
         raise RangeError("n_cut must be >= 0")
     tau = sig.tau_grid
     span = float(tau[-1] - tau[0])
-    freqs = np.array(
-        [rabi_frequency(n + 1, n, coupling) for n in range(n_cut + 1)]
-    )
+    freqs = ladder(1, n_cut + 1, coupling)
     # fastest signal component oscillates at 2*max(Omega)
     dt_max = float(np.max(np.diff(tau)))
     omega_fast = 2.0 * float(np.max(np.abs(freqs)))
@@ -494,6 +450,10 @@ def stark_phase_noise_ratio(
 # spectator level leakage
 
 
+# RK4 steps per period of the fastest rate in the spectator problem
+_STEPS_PER_CYCLE = 60
+
+
 def _raised_cosine(t: float, T: float, tau_r: float) -> float:
     if t <= 0.0 or t >= T:
         return 0.0
@@ -513,7 +473,6 @@ def spectator_leakage(
     tau_r: float | None = None,
     compensate: bool = False,
     initial=None,
-    steps_per_cycle: int = 60,
 ) -> dict:
     """Residual excitation of an off-resonant third level after a pulse.
 
@@ -561,7 +520,7 @@ def spectator_leakage(
     delta = stark if compensate else 0.0
     T = float(duration)
     w_max = max(abs(Delta), abs(Delta - delta), 2 * abs(Omega), 2 * abs(Omega_prime), abs(delta))
-    n_steps = max(400, int(math.ceil(steps_per_cycle * T * w_max / (2.0 * math.pi))))
+    n_steps = max(400, int(math.ceil(_STEPS_PER_CYCLE * T * w_max / (2.0 * math.pi))))
     h = T / n_steps
 
     if envelope == "square":

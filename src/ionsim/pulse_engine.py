@@ -27,14 +27,13 @@ at phase phi+pi.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
 
-from .coupling import CouplingParams, rabi_frequency
+from .coupling import CouplingParams, ladder, rabi_frequency
 from .errors import (
     BusNotGroundError,
     InvalidTransitionError,
@@ -133,25 +132,28 @@ def transition_class(p: PulseSpec) -> str:
 # two-level building block
 
 
-def _rotation_block(Omega: float, Delta: float, t: float, phi: float, dn: int) -> np.ndarray:
-    """Detuned propagator on one (upper, lower) pair, interaction picture."""
-    if t == 0.0:
-        return np.eye(2, dtype=complex)
-    X = math.hypot(Delta, 2.0 * Omega)
-    if X == 0.0:
-        return np.eye(2, dtype=complex)
+def _rotation_block(Omega, Delta: float, t: float, phi: float, dn: int) -> np.ndarray:
+    """Detuned propagators of driven (upper, lower) pairs, interaction picture.
+
+    Omega is one matrix element or an array of them; the result stacks one
+    2x2 block per element, shape shape(Omega) + (2, 2). A pair with no
+    generalized Rabi frequency (X = 0) gets the identity.
+    """
+    X = np.hypot(Delta, 2.0 * np.asarray(Omega, dtype=float))
+    live = X > 0.0
+    ratio = np.divide(Delta, X, out=np.zeros_like(X), where=live)
+    w = np.divide(Omega, X, out=np.zeros_like(X), where=live)
     half = 0.5 * X * t
-    c, s = math.cos(half), math.sin(half)
+    c, s = np.cos(half), np.sin(half)
     dphase = cmath.exp(-0.5j * Delta * t)
-    ratio = Delta / X
     chi = 0.5 * Delta * t - phi - 0.5 * math.pi * dn
-    off = -2j * (Omega / X) * s
-    return np.array(
-        [
-            [dphase * (c + 1j * ratio * s), off * cmath.exp(-1j * chi)],
-            [off * cmath.exp(1j * chi), dphase.conjugate() * (c - 1j * ratio * s)],
-        ]
-    )
+    off = -2j * w * s
+    U = np.empty(X.shape + (2, 2), dtype=complex)
+    U[..., 0, 0] = dphase * (c + 1j * ratio * s)
+    U[..., 0, 1] = off * cmath.exp(-1j * chi)
+    U[..., 1, 0] = off * cmath.exp(1j * chi)
+    U[..., 1, 1] = dphase.conjugate() * (c - 1j * ratio * s)
+    return U
 
 
 def two_level_rotation(
@@ -244,15 +246,6 @@ def phase_ledger_advance(
 # pulses on a physical ion
 
 
-def _transition_pairs(transition: str, order: int, n_max: int):
-    """Coupled (upper-spin n, lower-spin n) Fock pairs for one resonance."""
-    if transition == "carrier":
-        return [(n, n) for n in range(n_max + 1)]
-    if transition == "blue":
-        return [(n + order, n) for n in range(n_max - order + 1)]
-    return [(n, n + order) for n in range(n_max - order + 1)]
-
-
 def _pulse_blocks(p: PulseSpec, n_max: int, ledger_phase: float):
     """Flat indices of |up, nu> and |down, nl> for each coupled pair, and
     the stacked 2x2 propagators of the pairs, shape (pairs, 2, 2)."""
@@ -268,17 +261,17 @@ def _pulse_blocks(p: PulseSpec, n_max: int, ledger_phase: float):
         ref = (0, 0) if p.transition == "carrier" else (p.order, 0)
     if max(ref) > n_max:
         raise ModelInputError(f"reference pair {ref} exceeds n_max={n_max}")
-    Omega_ref = rabi_frequency(ref[0], ref[1], p.coupling)
+    # pair n couples Fock levels n and n + dn; blue raises the upper spin's
+    # level, red the lower spin's, and both run at Omega_{n+dn,n}, so the
+    # reference pair is one of them
+    n = np.arange(n_max - dn + 1)
+    Omegas = ladder(dn, n.size, p.coupling)
+    Omega_ref = Omegas[min(ref)]
     if Omega_ref == 0.0:
         raise RangeError(f"reference pair {ref} has a vanishing matrix element")
     t = theta_eff / (2.0 * abs(Omega_ref))
-
-    pairs = _transition_pairs(p.transition, p.order, n_max)
-    blocks = np.array([
-        _rotation_block(rabi_frequency(nu, nl, p.coupling), p.detuning_Delta, t, phi_tot, dn)
-        for nu, nl in pairs
-    ])
-    nu, nl = np.array(pairs).T
+    nu, nl = (n, n + dn) if p.transition == "red" else (n + dn, n)
+    blocks = _rotation_block(Omegas, p.detuning_Delta, t, phi_tot, dn)
     return n_max + 1 + nu, nl, blocks
 
 
@@ -375,32 +368,6 @@ class GateReport:
     fidelity_vs_ideal: float
     basis: tuple
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis": list(self.basis),
-                "unitary_re": np.real(self.unitary).tolist(),
-                "unitary_im": np.imag(self.unitary).tolist(),
-                "truth_table": self.truth_table,
-                "fidelity_vs_ideal": self.fidelity_vs_ideal,
-            },
-            indent=1,
-        )
-
-    def to_csv(self) -> str:
-        lines = ["# gate report", f"# basis: {','.join(self.basis)}"]
-        lines.append(f"# fidelity_vs_ideal: {self.fidelity_vs_ideal!r}")
-        lines.append("row,col,re,im")
-        d = self.unitary.shape[0]
-        for i in range(d):
-            for j in range(d):
-                z = self.unitary[i, j]
-                lines.append(f"{i},{j},{z.real!r},{z.imag!r}")
-        lines.append("input,output")
-        for k, v in self.truth_table.items():
-            lines.append(f"{k},{v}")
-        return "\n".join(lines) + "\n"
-
 
 def _truth_table(U: np.ndarray, basis, inputs=None) -> dict:
     table = {}
@@ -419,17 +386,6 @@ def _truth_table(U: np.ndarray, basis, inputs=None) -> dict:
 def phase_gate(phi: float) -> np.ndarray:
     """Diagonal two-qubit phase gate diag(1, 1, 1, e^{i phi}) on {e1 e2}."""
     return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]).astype(complex)
-
-
-def two_mode_phase_gate(phi: float) -> np.ndarray:
-    """Idealized phase gate on two bus modes restricted to n in {0,1}.
-
-    Experimental: the underlying pulse bookkeeping for driving a phase
-    conditioned on two motional modes is not modeled; this returns the
-    target diagonal diag(1,1,1,e^{i phi}) on the |n_a n_b> basis
-    {00,01,10,11} so sequences can be prototyped against it.
-    """
-    return phase_gate(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -302,29 +302,3 @@ def detection_false_negative(n_d: float) -> float:
     if n_d < 0:
         raise RangeError("mean photon number must be >= 0")
     return math.exp(-n_d)
-
-
-def state_csv(state) -> str:
-    """CSV dump of a state: one basis element per row.
-
-    QuantumState rows: index, spin, n, re, im.
-    DensityMatrix rows: row, col, re, im (upper triangle only).
-    """
-    lines = []
-    if isinstance(state, QuantumState):
-        lines.append("index,spin,n,re,im")
-        N = state.n_max + 1
-        for i, c in enumerate(state.amplitudes):
-            s, n = divmod(i, N)
-            label = SPIN_DOWN if s == 0 else SPIN_UP
-            lines.append(f"{i},{label},{n},{c.real:.17g},{c.imag:.17g}")
-    elif isinstance(state, DensityMatrix):
-        lines.append("row,col,re,im")
-        N = state.n_max + 1
-        for i in range(N):
-            for j in range(i, N):
-                c = state.rho[i, j]
-                lines.append(f"{i},{j},{c.real:.17g},{c.imag:.17g}")
-    else:
-        raise ModelInputError(f"cannot serialize {type(state).__name__}")
-    return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ Conventions: angular frequencies (rad/s) throughout; epsilon = 1/2 tags
 the independent ensemble and epsilon = 1 the maximally entangled one.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .quantum_core import QuantumState, apply_unitary
 __all__ = [
     "ClockParams",
     "clock_lock_analysis",
-    "clock_sweep_csv",
     "projection_noise_stability",
     "ramsey_probability",
 ]
@@ -156,22 +154,3 @@ def clock_lock_analysis(p: ClockParams, mode: str = "constrained_K3") -> dict:
         k3 = math.pi * p.K2 ** (n + 0.5) * p.L ** (1.0 - eps)
         return {"T_R": t_r, "delta_omega": dw, "K3": k3}
     raise ModelInputError(f"unknown analysis mode {mode!r}")
-
-
-def clock_sweep_csv(L_values, n_values, C: float, K2: float, K3: float, tau: float) -> str:
-    """Stability map over ensemble size and oscillator exponent.
-
-    Runs constrained_K3 for every (L, n_exp) pair at both epsilon values
-    and returns CSV rows 'L,n_exp,epsilon,delta_omega' for plotting the
-    entangled-advantage landscape.
-    """
-    buf = io.StringIO()
-    buf.write("L,n_exp,epsilon,delta_omega\n")
-    for L in L_values:
-        for n in n_values:
-            for eps in (0.5, 1.0):
-                p = ClockParams(L=int(L), tau=tau, C=C, n_exp=float(n),
-                                K2=K2, K3=K3, epsilon=eps)
-                dw = clock_lock_analysis(p, "constrained_K3")["delta_omega"]
-                buf.write(f"{int(L)},{float(n)!r},{eps!r},{dw!r}\n")
-    return buf.getvalue()

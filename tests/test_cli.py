@@ -258,6 +258,35 @@ def test_heat_without_relaxation_keeps_exit_contract(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario,key,value", [
+    ("rabi.ladder", "Omega", "0 Hz"),
+    ("noise.envelopes", "slow_rms", "0 Hz"),
+], ids=["rabi.ladder", "noise.envelopes"])
+def test_zero_rate_keeps_exit_contract(scenario, key, value, tmp_path, capsys):
+    body = _bundled(scenario)
+    body["params"][key] = value
+    cfg = write_cfg(tmp_path, body)
+    rc = cli.main(["run", cfg, "--json", "--out", str(tmp_path / "out")])
+    cap = capsys.readouterr()
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in cap.err
+    if scenario == "rabi.ladder":
+        # the ladder's metrics are ratios to the carrier, which needs a drive
+        assert rc == 2
+        assert "params.Omega" in cap.err
+        return
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    # noiseless envelopes never lose half their contrast
+    doc = json.loads(cap.out, parse_constant=reject)
+    assert doc["metrics"]["gauss_half_contrast_s"] is None
+    assert doc["metrics"]["laplace_half_contrast_s"] is None
+    gauss = [e for e in doc["expectations"] if e["metric"] == "gauss_half_contrast_s"]
+    assert gauss and all(e["status"] == "FAIL" for e in gauss)
+
+
 def test_json_non_finite_metric_is_null_and_fails(tmp_path, capsys):
     # no spectator coupling: both residues vanish and their ratio is inf
     body = _bundled("noise.spectator")

@@ -251,20 +251,3 @@ def test_truncation_warning_when_recoil_hits_ceiling():
     with pytest.warns(TruncationWarning):
         res = sideband_cool(_fock_diag(3, 3), cfg, seed=0)
     assert abs(res.populations.sum() - 1.0) <= 1e-12   # held, not lost
-
-
-# ---------------------------------------------------------------- trajectory CSV
-
-
-def test_trajectory_csv_layout():
-    init = make_state("thermal", nbar=1.0, n_max=30)
-    res = sideband_cool(init, _std_cfg(cycles=10), seed=0)
-    lines = res.to_csv().splitlines()
-    assert lines[0] == "cycle,mean_n,P0"
-    assert len(lines) == 12                            # header + 11 boundaries
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == pytest.approx(res.mean_n[0], rel=1e-15)
-    last = lines[-1].split(",")
-    assert int(last[0]) == 10
-    assert float(last[2]) == pytest.approx(res.p0[-1], rel=1e-15)

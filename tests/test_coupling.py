@@ -15,15 +15,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, poch
 
 from ionsim.coupling import (
     CouplingParams,
     ModeEnsemble,
     beam_crosstalk,
     debye_waller_stats,
+    ladder,
     laguerre,
     magic_eta,
     rabi_frequency,
@@ -40,7 +42,7 @@ from ionsim.errors import (
 )
 
 
-def ladder(nlev):
+def lowering(nlev):
     return np.diag(np.sqrt(np.arange(1.0, nlev)), 1)
 
 
@@ -116,7 +118,7 @@ def test_lamb_dicke_forms_and_limit():
 
 def test_exact_element_vs_matrix_exponential():
     # displacement operator on a 40-level truncation; moduli must agree
-    a_op = ladder(40)
+    a_op = lowering(40)
     for eta in (0.1, 0.3, 0.5):
         U = expm(1j * eta * (a_op + a_op.T))
         c = CouplingParams(Omega=1.0, eta=eta)
@@ -126,10 +128,42 @@ def test_exact_element_vs_matrix_exponential():
 
 
 def test_exact_element_named_pair():
-    a_op = ladder(40)
+    a_op = lowering(40)
     U = expm(1j * 0.3 * (a_op + a_op.T))
     c = CouplingParams(Omega=1.0, eta=0.3)
     assert rabi_frequency(3, 1, c) == pytest.approx(abs(U[3, 1]), abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 250), st.floats(0.0, 1.0), st.floats(0.1, 10.0))
+def test_ladder_matches_closed_form(dn, count, eta, Omega):
+    # independent closed form: scipy's Laguerre and the Pochhammer symbol
+    # (n+1)_dn = (n+dn)!/n!
+    n = np.arange(count)
+    x = eta * eta
+    ref = (Omega * math.exp(-x / 2) * eta**dn / np.sqrt(poch(n + 1.0, dn))
+           * eval_genlaguerre(n, dn, x))
+    got = ladder(dn, count, CouplingParams(Omega=Omega, eta=eta))
+    assert got.shape == (count,)
+    # absolute floor for elements near a Laguerre root, where both
+    # recurrences carry rounding of the size of the largest terms
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-12 * Omega)
+
+
+def test_rabi_frequency_is_a_ladder_element():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        dn, n = int(rng.integers(0, 5)), int(rng.integers(0, 60))
+        c = CouplingParams(Omega=float(rng.uniform(0.1, 5.0)),
+                           eta=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])))
+        row = ladder(dn, n + 1 + int(rng.integers(0, 20)), c)
+        assert rabi_frequency(n + dn, n, c) == pytest.approx(row[n], rel=1e-15, abs=0.0)
+        assert rabi_frequency(n, n + dn, c) == rabi_frequency(n + dn, n, c)
+    assert ladder(1, 0, CouplingParams(1.0, 0.1)).shape == (0,)
+    with pytest.raises(RangeError):
+        ladder(-1, 3, CouplingParams(1.0, 0.1))
+    with pytest.raises(RangeError):
+        ladder(1, -1, CouplingParams(1.0, 0.1))
 
 
 def test_rabi_zero_eta_and_bad_mode():
@@ -193,10 +227,9 @@ def test_magic_eta_preconditions():
 
 
 def brute_single_mode(eta, nbar, nmax=4000):
-    x = eta * eta
     s = nbar / (1.0 + nbar)
     P = (1.0 - s) * s ** np.arange(nmax)
-    f = math.exp(-x / 2) * np.array([laguerre(n, 0, x) for n in range(nmax)])
+    f = ladder(0, nmax, CouplingParams(Omega=1.0, eta=eta))   # e^(-x/2) L_n(x)
     mean = float(np.sum(P * f))
     m2 = float(np.sum(P * f * f))
     return mean, math.sqrt(m2 / mean**2 - 1.0)
@@ -303,7 +336,7 @@ def test_sw_single_sine():
 
 def test_sw_sine_node_kills_even_transitions():
     # field ~ sin: only odd Fock-level changes couple at the node
-    a_op = ladder(40)
+    a_op = lowering(40)
     X = 0.3 * (a_op + a_op.T)
     S = (expm(1j * X) - expm(-1j * X)) / 2j
     for n in range(7):

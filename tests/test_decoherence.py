@@ -126,30 +126,6 @@ def test_rabi_signal_validation():
     assert s.P_down.min() >= 0.0 and s.P_down.max() <= 1.0
 
 
-def test_rabi_signal_csv_round_trip():
-    tau = np.linspace(0.0, 2.0, 7)
-    p = 0.5 * (1.0 + np.cos(tau))
-    var = 1e-4 * (1.0 + tau)
-    s = RabiSignal(tau, p, variance=var)
-    text = s.to_csv()
-    assert text.splitlines()[0] == "tau,P_down,variance"
-    back = RabiSignal.from_csv(text)
-    assert np.array_equal(back.tau_grid, s.tau_grid)
-    assert np.array_equal(back.P_down, s.P_down)
-    assert np.array_equal(back.variance, s.variance)
-    # no-variance form
-    s2 = RabiSignal(tau, p)
-    text2 = s2.to_csv()
-    assert text2.splitlines()[0] == "tau,P_down"
-    back2 = RabiSignal.from_csv(text2)
-    assert back2.variance is None
-    assert np.array_equal(back2.P_down, s2.P_down)
-    with pytest.raises(ModelInputError):
-        RabiSignal.from_csv("bogus,header\n0,0.5\n")
-    with pytest.raises(ModelInputError):
-        RabiSignal.from_csv("tau,P_down\n0.0\n")
-
-
 # ---------------------------------------------------------------- master equation basics
 
 

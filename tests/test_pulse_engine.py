@@ -10,7 +10,6 @@ Oracles used here and nowhere else:
     cos^2(sum zeta/2) for area-error accumulation.
 """
 
-import json
 import math
 import warnings
 
@@ -52,7 +51,6 @@ from ionsim.pulse_engine import (
     register_rotation,
     transition_class,
     two_level_rotation,
-    two_mode_phase_gate,
 )
 from ionsim.quantum_core import (
     SPIN_DOWN,
@@ -287,6 +285,22 @@ def test_magic_eta_carrier_flips_only_n1():
     assert abs(out.amplitude(SPIN_UP, 1) - (-1j / math.sqrt(2))) < 1e-12
 
 
+def test_carrier_at_eta_one_idles_the_dark_pair():
+    # L_1(1) = 0, so the (1,1) carrier element vanishes exactly at eta = 1
+    c = CouplingParams(1.0, 1.0)
+    assert rabi_frequency(1, 1, c) == 0.0
+    p = PulseSpec("carrier", math.pi, c, phi=0.4)
+    U = pulse_unitary(p, n_max=4)
+    pair = [1, 5 + 1]                       # |down,1>, |up,1>
+    assert np.array_equal(U[np.ix_(pair, pair)], np.eye(2))
+    assert unitary_defect(U) < 1e-13
+    st = make_state("fock", n_max=4, n=1)
+    assert np.array_equal(apply_pulse(st, p).amplitudes, st.amplitudes)
+    # as a reference pair it cannot set a duration
+    with pytest.raises(RangeError):
+        pulse_unitary(PulseSpec("carrier", math.pi, c, reference_pair=(1, 1)), n_max=4)
+
+
 def test_apply_pulse_norm_conservation_property():
     rng = np.random.default_rng(23)
     transitions = ["carrier", "red", "blue"]
@@ -345,7 +359,6 @@ def test_phase_gate_values():
     assert np.array_equal(phase_gate(0.0), np.eye(4))
     twice = phase_gate(math.pi) @ phase_gate(math.pi)
     assert np.allclose(twice, np.eye(4), atol=1e-15)
-    assert np.allclose(two_mode_phase_gate(0.7), phase_gate(0.7), atol=1e-15)
 
 
 # -------------------------------------------------- three-pulse controlled-not
@@ -406,6 +419,7 @@ def test_single_pulse_printed_form_k0_m1():
         dtype=complex,
     )
     assert np.max(np.abs(rep.unitary - expected)) < 1e-10
+    assert rep.basis == ("dn0", "up0", "dn1", "up1")
     assert rep.truth_table["dn1"] == "up1"
     assert rep.truth_table["up1"] == "dn1"
     assert rep.truth_table["dn0"] == "dn0"
@@ -766,20 +780,6 @@ def test_noisy_sequence_validation_and_determinism():
 
 
 # ------------------------------------------------------------ gate reports
-
-
-def test_gate_report_serialization():
-    rep = cn_gate_single_pulse(0, 1, 1.0 / math.sqrt(2.0))
-    blob = json.loads(rep.to_json())
-    assert blob["basis"] == ["dn0", "up0", "dn1", "up1"]
-    assert blob["truth_table"]["dn1"] == "up1"
-    U = np.array(blob["unitary_re"]) + 1j * np.array(blob["unitary_im"])
-    assert np.max(np.abs(U - rep.unitary)) < 1e-15
-    text = rep.to_csv()
-    assert text.startswith("# gate report")
-    assert "row,col,re,im" in text
-    assert "input,output" in text
-    assert "dn1,up1" in text
 
 
 def test_gate_fidelity_validation():

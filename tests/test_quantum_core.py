@@ -23,7 +23,6 @@ from ionsim.quantum_core import (
     make_state,
     overlap,
     populations,
-    state_csv,
 )
 
 
@@ -202,30 +201,6 @@ def test_detection_false_negative_values():
     assert abs(v / 4e-44 - 1.0) < 0.10
     with pytest.raises(RangeError):
         detection_false_negative(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-
-
-def test_state_csv_roundtrip():
-    st = make_state("coherent", n_max=6, alpha=0.5j)
-    text = state_csv(st)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,spin,n,re,im"
-    assert len(lines) == 1 + st.dim
-    rebuilt = np.zeros(st.dim, dtype=complex)
-    for row in lines[1:]:
-        idx, spin, n, re, im = row.split(",")
-        rebuilt[int(idx)] = float(re) + 1j * float(im)
-    assert np.allclose(rebuilt, st.amplitudes, atol=1e-16)
-
-
-def test_density_csv_shape():
-    dm = make_state("thermal", n_max=4, nbar=0.01)
-    lines = state_csv(dm).strip().split("\n")
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + 5 * 6 // 2
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from ionsim.errors import ModelInputError, RangeError
 from ionsim.spectroscopy import (
     ClockParams,
     clock_lock_analysis,
-    clock_sweep_csv,
     projection_noise_stability,
     ramsey_probability,
 )
@@ -207,18 +206,3 @@ def test_boundary_exponent_loses_ensemble_dependence():
     a = clock_lock_analysis(_params(L=1, n_exp=-0.5), "constrained_K1")
     b = clock_lock_analysis(_params(L=1000, n_exp=-0.5), "constrained_K1")
     assert a["delta_omega"] == pytest.approx(b["delta_omega"], rel=1e-12)
-
-
-# ---------------------------------------------------------------- sweep CSV
-
-
-def test_sweep_csv_layout_and_values():
-    text = clock_sweep_csv([10, 100], [0.0, 1.0], 1e-3, 2.0, 3.0, 1e4)
-    lines = text.splitlines()
-    assert lines[0] == "L,n_exp,epsilon,delta_omega"
-    assert len(lines) == 1 + 2 * 2 * 2
-    row = lines[1].split(",")
-    p = ClockParams(L=10, tau=1e4, C=1e-3, n_exp=0.0, K2=2.0, K3=3.0, epsilon=0.5)
-    ref = clock_lock_analysis(p, "constrained_K3")["delta_omega"]
-    assert int(row[0]) == 10
-    assert float(row[3]) == pytest.approx(ref, rel=1e-15)
