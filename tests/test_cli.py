@@ -22,6 +22,8 @@ from ionsim._config import (
 from ionsim._svg import line_plot
 from ionsim.errors import ConfigError
 
+from golden.make_golden import LEDGER, mismatches, parse_csv
+
 
 # ---------------------------------------------------------------------------
 # unit grammar
@@ -510,6 +512,10 @@ def test_list_plain_table(capsys):
     assert "rabi.example" in out and "tomography.coherence" in out
 
 
+with open(LEDGER, encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+
+
 @pytest.mark.parametrize("name", [s["name"] for s in cli.list_scenarios()])
 def test_bundled_scenario_passes(name, tmp_path, recwarn):
     out = tmp_path / name
@@ -518,6 +524,10 @@ def test_bundled_scenario_passes(name, tmp_path, recwarn):
     man = (out / f"{name}.manifest.txt").read_text()
     assert "result: PASS" in man
     assert "FAIL" not in man
+    # the golden ledger: every metric, meta line and cell of the bundled run
+    assert name in GOLDEN, "scenario missing from tests/golden/scenarios.json"
+    diff = mismatches(GOLDEN[name], parse_csv((out / f"{name}.csv").read_text()))
+    assert not diff, "\n".join(diff)
 
 
 def test_module_runnable_as_script(tmp_path):
