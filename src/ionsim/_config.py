@@ -15,8 +15,10 @@ Frequencies declared angular in a schema are multiplied by 2*pi on the
 way in, so handlers always see rad/s; rate-type fields (unit Hz, not
 angular) pass through as plain 1/s. Numbers must be finite: NaN,
 Infinity and values that overflow (such as "1e400 MHz") are rejected.
-Every validation failure raises ConfigError with the dotted path of the
-offending key in the message.
+Integers must lie within their field's lo..hi bounds, and a schema sets
+hi so that no array the field sizes can outgrow memory. Every validation
+failure raises ConfigError with the dotted path of the offending key in
+the message.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class Field:
     default: Any = None
     choices: tuple = ()
     schema: dict | None = None   # sub-schema for kind="block"
+    lo: int | None = None        # inclusive bounds for kinds int and int_list
+    hi: int | None = None
 
 
 def _finite(x: float, v: Any, path: str) -> float:
@@ -130,9 +134,13 @@ def _want_number(v: Any, path: str) -> float:
     return _finite(x, v, path)
 
 
-def _want_int(v: Any, path: str) -> int:
+def _want_int(v: Any, path: str, lo: int | None = None, hi: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
+    if lo is not None and v < lo:
+        raise ConfigError(f"{path}: must be >= {lo}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{path}: must be <= {hi}")
     return v
 
 
@@ -163,7 +171,7 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
         elif f.kind == "number":
             out[key] = _want_number(v, here)
         elif f.kind == "int":
-            out[key] = _want_int(v, here)
+            out[key] = _want_int(v, here, f.lo, f.hi)
         elif f.kind == "str":
             if not isinstance(v, str):
                 raise ConfigError(f"{here}: expected a string, got {v!r}")
@@ -183,7 +191,8 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
         elif f.kind == "int_list":
             if not isinstance(v, list) or not v:
                 raise ConfigError(f"{here}: expected a nonempty list of integers")
-            out[key] = [_want_int(x, f"{here}[{i}]") for i, x in enumerate(v)]
+            out[key] = [_want_int(x, f"{here}[{i}]", f.lo, f.hi)
+                        for i, x in enumerate(v)]
         elif f.kind == "block":
             out[key] = validate_block(v, f.schema or {}, here)
         else:  # pragma: no cover - schema author error
@@ -293,9 +302,7 @@ def parse_config_text(text: str, origin: str = "config") -> ExperimentConfig:
             raise ConfigError("description: expected a string")
         cfg.description = raw["description"]
     if "seed" in raw:
-        cfg.seed = _want_int(raw["seed"], "seed")
-        if cfg.seed < 0:
-            raise ConfigError("seed: must be >= 0")
+        cfg.seed = _want_int(raw["seed"], "seed", lo=0)
     if "expect" in raw:
         cfg.expect = _validate_expect(raw["expect"], "expect")
     if "plot" in raw:

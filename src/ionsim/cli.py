@@ -4,7 +4,9 @@
 bundled scenario), dispatches to the library, and writes a CSV table, an
 optional SVG plot per ``plot`` block, and a manifest recording inputs,
 versions, and pass/fail against the file's declared expectations.
-``ionsim list`` enumerates the bundled scenarios.
+``ionsim list`` enumerates the bundled scenarios. Each kind's schema
+declares every key, unit and integer bound; its handler only maps the
+validated params to library calls and the results to columns and metrics.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 physics-model error raised by the library. A failed
@@ -46,7 +48,7 @@ from .decoherence import (
     coherence_tomography,
     fast_amplitude_noise_visibility,
     invert_populations,
-    master_equation_evolve,
+    master_equation_trajectory,
     mean_n_evolution,
     rabi_decay_signal,
     slow_amplitude_noise_envelope,
@@ -54,6 +56,7 @@ from .decoherence import (
 )
 from .errors import ConfigError, IonsimError
 from .pulse_engine import (
+    DEFAULT_REGISTER_CAP,
     PulseSpec,
     cn_gate_single_pulse,
     cn_gate_three_pulse,
@@ -75,6 +78,10 @@ from .trap_model import (
 
 TWO_PI = 2.0 * math.pi
 
+# Most numbers in one array that a config field sizes (32 MiB of float64);
+# each hi below divides it by what else sizes that field's largest array.
+_MAX_CELLS = 2**22
+
 
 @dataclass
 class RunResult:
@@ -94,14 +101,12 @@ def _require(params: dict, keys, op: str) -> None:
 
 def _diag_density(init: dict, path: str = "params.initial") -> DensityMatrix:
     n_max = init["n_max"]
-    if n_max < 1:
-        raise ConfigError(f"{path}.n_max: must be >= 1")
     if init["type"] == "thermal":
         if init["nbar"] is None:
             raise ConfigError(f"{path}.nbar: required for a thermal state")
         return make_state("thermal", n_max=n_max, nbar=init["nbar"])
     n = init["n"]
-    if not 0 <= n <= n_max:
+    if n > n_max:
         raise ConfigError(f"{path}.n: must be within 0..n_max")
     r = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     r[n, n] = 1.0
@@ -114,13 +119,12 @@ def _diag_density(init: dict, path: str = "params.initial") -> DensityMatrix:
 
 _TAU_SCHEMA = {
     "stop": Field("quantity", unit="s", required=True),
-    "points": Field("int", default=600),
+    # noise envelopes average 2048 drive phases at every point
+    "points": Field("int", default=600, lo=2, hi=_MAX_CELLS // 2048),
 }
 
 
 def _tau_grid(block: dict, path: str) -> np.ndarray:
-    if block["points"] < 2:
-        raise ConfigError(f"{path}.points: must be >= 2")
     if block["stop"] <= 0:
         raise ConfigError(f"{path}.stop: must be > 0")
     return np.linspace(0.0, block["stop"], block["points"])
@@ -140,10 +144,10 @@ _TRAP_SCHEMA = {
         "amplitude": Field("quantity", unit="m", required=True),
         "phase": Field("number", default=0.0),
         "t_end": Field("quantity", unit="s", required=True),
-        "points": Field("int", default=400),
+        "points": Field("int", default=400, lo=2, hi=_MAX_CELLS // 3),
     }),
-    "chain": Field("block", schema={
-        "L": Field("int", required=True),
+    "chain": Field("block", schema={           # L x L Hessian
+        "L": Field("int", required=True, lo=2, hi=math.isqrt(_MAX_CELLS)),
         "s_c": Field("quantity", unit="m", required=True),
     }),
 }
@@ -165,16 +169,12 @@ def _run_trap(p: dict, seed: int) -> RunResult:
     }
     if p["chain"] is not None:
         ch = p["chain"]
-        if ch["L"] < 2:
-            raise ConfigError("params.chain.L: must be >= 2")
         ca = critical_anisotropy(ch["L"], s_c=ch["s_c"],
                                  charge=p["charge"], mass=p["mass"])
         metrics["critical_ratio"] = ca.ratio_exact
         metrics["omega_r_bound_Hz"] = ca.omega_r_bound / TWO_PI
     if p["trajectory"] is not None:
         tj = p["trajectory"]
-        if tj["points"] < 2:
-            raise ConfigError("params.trajectory.points: must be >= 2")
         t = np.linspace(0.0, tj["t_end"], tj["points"])
         traj = mathieu_trajectory(tp, tj["amplitude"], tj["phase"], t)
         cols = [("t", "s"), ("x", "m"), ("y", "m")]
@@ -190,7 +190,8 @@ def _run_trap(p: dict, seed: int) -> RunResult:
 
 
 _MODES_SCHEMA = {
-    "L_values": Field("int_list", required=True),
+    # L x L Hessian
+    "L_values": Field("int_list", required=True, lo=1, hi=math.isqrt(_MAX_CELLS)),
     "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
     "charge": Field("quantity", unit="C", required=True),
     "mass": Field("quantity", unit="kg", required=True),
@@ -201,8 +202,6 @@ def _run_modes(p: dict, seed: int) -> RunResult:
     cols = [("L", ""), ("mode", ""), ("ratio_to_axial", ""), ("frequency", "Hz")]
     rows, metrics = [], {}
     for L in p["L_values"]:
-        if L < 1:
-            raise ConfigError("params.L_values: entries must be >= 1")
         g = chain_equilibrium(L, p["omega_z"], p["charge"], p["mass"])
         am = axial_normal_modes(g, p["omega_z"])
         for k, w in enumerate(am.frequencies, start=1):
@@ -224,7 +223,7 @@ _RABI_SCHEMA = {
     "op": Field("str", required=True, choices=("ladder", "decay")),
     "Omega": Field("quantity", unit="Hz", angular=True, required=True),
     "eta": Field("number", required=True),
-    "n_top": Field("int", default=10),
+    "n_top": Field("int", default=10, lo=0, hi=_MAX_CELLS // 4 - 1),
     "populations": Field("number_list"),
     "gamma0": Field("quantity", unit="Hz"),         # base decay rate, 1/s
     "tau": Field("block", schema=_TAU_SCHEMA),
@@ -234,8 +233,6 @@ _RABI_SCHEMA = {
 def _run_rabi(p: dict, seed: int) -> RunResult:
     c = CouplingParams(Omega=p["Omega"], eta=p["eta"])
     if p["op"] == "ladder":
-        if p["n_top"] < 0:
-            raise ConfigError("params.n_top: must be >= 0")
         if p["Omega"] <= 0:
             raise ConfigError("params.Omega: must be > 0 for op 'ladder'")
         cols = [("n", ""), ("carrier", "Hz"), ("red_sideband", "Hz"),
@@ -275,25 +272,16 @@ _GATE_SCHEMA = {
     "phi": Field("number", default=0.0),
     "aux_eta": Field("number", default=0.2),
     "phi_a": Field("number", default=0.0),
-    "L": Field("int", default=2),
-    "n_bus": Field("int", default=1),
-    "M_values": Field("int_list", default=(2, 4, 8, 16)),
+    "L": Field("int", default=2, lo=2),
+    # register amplitudes: 2**L rows, L <= DEFAULT_REGISTER_CAP
+    "n_bus": Field("int", default=1, hi=_MAX_CELLS // 2**DEFAULT_REGISTER_CAP - 1),
+    "M_values": Field("int_list", default=(2, 4, 8, 16), lo=1, hi=_MAX_CELLS),
     "theta": Field("number", default=math.pi / 2),
     "zeta_rms": Field("number", default=0.01),
     "phi_rms": Field("number", default=0.0),
     "systematic": Field("bool", default=False),
-    "trials": Field("int", default=200),
+    "trials": Field("int", default=200, hi=_MAX_CELLS),
 }
-
-
-def _unitary_rows(report):
-    rows = []
-    d = report.unitary.shape[0]
-    for i in range(d):
-        for j in range(d):
-            z = report.unitary[i, j]
-            rows.append((i, j, float(z.real), float(z.imag)))
-    return rows
 
 
 def _run_gate(p: dict, seed: int) -> RunResult:
@@ -314,21 +302,17 @@ def _run_gate(p: dict, seed: int) -> RunResult:
         meta = {"basis": " ".join(report.basis)}
         for k, v in report.truth_table.items():
             meta[f"truth {k}"] = v
+        rows = [(i, j, float(z.real), float(z.imag))
+                for (i, j), z in np.ndenumerate(report.unitary)]
         metrics = {"fidelity_vs_ideal": report.fidelity_vs_ideal, **extra}
-        return RunResult(cols, _unitary_rows(report), metrics, meta)
+        return RunResult(cols, rows, metrics, meta)
     if op == "entangle":
-        if p["L"] < 2:
-            raise ConfigError("params.L: must be >= 2 for op 'entangle'")
         reg = prepare_max_entangled(p["L"], n_bus=p["n_bus"])
         ideal = np.zeros_like(reg.amps)
         ideal[0, 0] = ideal[-1, 0] = 1.0 / math.sqrt(2.0)
         cols = [("spins", ""), ("bus_n", ""), ("re", ""), ("im", "")]
-        rows = []
-        for i in range(reg.amps.shape[0]):
-            for nb in range(reg.amps.shape[1]):
-                z = reg.amps[i, nb]
-                rows.append((format(i, f"0{p['L']}b"), nb,
-                             float(z.real), float(z.imag)))
+        rows = [(format(i, f"0{p['L']}b"), nb, float(z.real), float(z.imag))
+                for (i, nb), z in np.ndenumerate(reg.amps)]
         metrics = {
             "overlap_ideal": float(abs(np.vdot(ideal, reg.amps)) ** 2),
             "bus_excited_weight": reg.bus_excited_weight(),
@@ -343,8 +327,6 @@ def _run_gate(p: dict, seed: int) -> RunResult:
             ("quad_coeff", "")]
     rows = []
     for M in p["M_values"]:
-        if M < 1:
-            raise ConfigError("params.M_values: entries must be >= 1")
         res = noisy_sequence_fidelity([base] * M, model, trials=p["trials"],
                                       base_seed=seed)
         rows.append((M, res["F_mean"], res["F_std"], 1.0 - res["F_mean"],
@@ -362,8 +344,9 @@ def _run_gate(p: dict, seed: int) -> RunResult:
 _INITIAL_SCHEMA = {
     "type": Field("str", required=True, choices=("thermal", "fock")),
     "nbar": Field("number"),
-    "n": Field("int", default=0),
-    "n_max": Field("int", required=True),
+    "n": Field("int", default=0, lo=0),
+    # (n_max + 1) x (n_max + 1) density matrix
+    "n_max": Field("int", required=True, lo=1, hi=math.isqrt(_MAX_CELLS) - 1),
 }
 
 _COOL_SCHEMA = {
@@ -373,10 +356,10 @@ _COOL_SCHEMA = {
     "gamma_rad": Field("quantity", unit="Hz", angular=True, required=True),
     "strategy": Field("str", default="randomized",
                       choices=("fixed", "randomized", "schedule")),
-    "cycles": Field("int", default=50),
+    "cycles": Field("int", default=50, hi=_MAX_CELLS // 3 - 1),
     "pulse_area": Field("number"),
     "schedule": Field("number_list"),
-    "scatters_per_cycle": Field("int", default=2),
+    "scatters_per_cycle": Field("int", default=2, hi=_MAX_CELLS - 1),
     "initial": Field("block", required=True, schema=_INITIAL_SCHEMA),
 }
 
@@ -410,7 +393,7 @@ _HEAT_SCHEMA = {
     "nbar": Field("number"),
     "initial": Field("block", schema=_INITIAL_SCHEMA),
     "t_end": Field("quantity", unit="s"),
-    "points": Field("int", default=60),
+    "points": Field("int", default=60, lo=2, hi=_MAX_CELLS // 5),
     "dt": Field("quantity", unit="s"),              # accepted, unused: exact propagator
     # estimators (shared ion properties)
     "mass": Field("quantity", unit="kg"),
@@ -450,34 +433,21 @@ _HEAT_SCHEMA = {
 def _run_heat(p: dict, seed: int) -> RunResult:
     if p["op"] == "master_equation":
         _require(p, ("gamma", "nbar", "initial", "t_end"), "master_equation")
-        if p["points"] < 2:
-            raise ConfigError("params.points: must be >= 2")
-        rho = _diag_density(p["initial"])
-        n_max = rho.n_max
         b = BathParams(gamma=p["gamma"], nbar=p["nbar"])
         grid = np.linspace(0.0, p["t_end"], p["points"])
-        levels = np.arange(n_max + 1)
+        states = master_equation_trajectory(_diag_density(p["initial"]), b,
+                                            p["t_end"], p["points"] - 1)
         cols = [("t", "s"), ("mean_n", ""), ("P0", ""), ("P1", ""), ("P2", "")]
         rows = []
-        n0 = float(np.real(np.diag(rho.rho)) @ levels)
-
-        def record(t, r):
-            d = np.real(np.diag(r.rho))
-            rows.append((float(t), float(d @ levels), float(d[0]),
-                         float(d[1]) if n_max >= 1 else 0.0,
-                         float(d[2]) if n_max >= 2 else 0.0))
-
-        record(0.0, rho)
-        for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            rho = master_equation_evolve(rho, b, float(t_next - t_prev))
-            record(t_next, rho)
-        nb = b.nbar
-        p_th = (1.0 / (1.0 + nb)) * (nb / (1.0 + nb)) ** levels
-        diag = np.real(np.diag(rho.rho))
-        closed = mean_n_evolution(n0, b, float(grid[-1]))
+        for t, rho in zip(grid, states):
+            d = np.real(np.diag(rho.rho))
+            rows.append((float(t), rho.mean_n(), float(d[0]), float(d[1]),
+                         float(d[2]) if rho.n_max >= 2 else 0.0))
+        p_th = b.thermal_populations(rho.n_max)
+        closed = mean_n_evolution(rows[0][1], b, p["t_end"])
         metrics = {
             "final_mean_n": rows[-1][1],
-            "final_tv_vs_thermal": float(0.5 * np.sum(np.abs(diag - p_th))),
+            "final_tv_vs_thermal": float(0.5 * np.sum(np.abs(d - p_th))),
             "mean_n_closed_abs_err": abs(rows[-1][1] - closed),
             "trace_defect": abs(rho.trace() - 1.0),
         }
@@ -549,7 +519,7 @@ _NOISE_SCHEMA = {
     "op": Field("str", required=True,
                 choices=("debye_waller", "envelopes", "spectator")),
     # debye_waller
-    "mode_count": Field("int"),
+    "mode_count": Field("int", lo=1, hi=_MAX_CELLS),
     "eta": Field("number"),
     "nbar": Field("number"),
     "epsilon": Field("number"),
@@ -573,8 +543,6 @@ def _run_noise(p: dict, seed: int) -> RunResult:
     op = p["op"]
     if op == "debye_waller":
         _require(p, ("mode_count", "eta", "nbar", "epsilon"), "debye_waller")
-        if p["mode_count"] < 1:
-            raise ConfigError("params.mode_count: must be >= 1")
         ens = ModeEnsemble(etas=[p["eta"]] * p["mode_count"],
                            nbars=[p["nbar"]] * p["mode_count"])
         st = debye_waller_stats(ens)
@@ -688,7 +656,8 @@ _TOMO_SCHEMA = {
     "eta": Field("number"),
     "gamma0": Field("quantity", unit="Hz"),         # base decay rate, 1/s
     "tau": Field("block", schema=_TAU_SCHEMA),
-    "n_cut": Field("int"),
+    # inversion basis: tau.points x (n_cut + 1)
+    "n_cut": Field("int", hi=_MAX_CELLS // _TAU_SCHEMA["points"].hi - 1),
     "noise_sigma": Field("number", default=0.0),
     "state": Field("str", choices=("plus", "fock0", "plus_i")),
 }

@@ -1,9 +1,9 @@
 """Open-system motional dynamics and decoherence diagnostics.
 
 The first half of the module propagates the thermal-reservoir master
-equation for a single trapped mode exactly (one matrix exponential per
-band of the number-basis equations) and provides the analytic
-mean-occupation law it must reproduce.
+equation for a single trapped mode exactly on a uniform time grid (one
+matrix exponential per band of the number-basis equations) and provides
+the thermal populations and analytic mean-occupation law it must reproduce.
 
 The second half collects the measurement-side tools: synthesis and
 inversion of decaying Rabi flop signals, averaged-signal envelopes for
@@ -41,6 +41,7 @@ from .pulse_engine import PulseSpec, apply_pulse
 __all__ = [
     "BathParams",
     "RabiSignal",
+    "master_equation_trajectory",
     "master_equation_evolve",
     "mean_n_evolution",
     "rabi_decay_signal",
@@ -83,6 +84,12 @@ class BathParams:
         if self.gamma > 0 and self.nbar > 0:
             return 1.0 / (self.nbar * self.gamma)
         return math.inf
+
+    def thermal_populations(self, n_max: int) -> np.ndarray:
+        """nbar^n / (1+nbar)^(n+1) for n = 0..n_max, not renormalized over
+        the kept levels (make_state("thermal") is)."""
+        n = np.arange(n_max + 1)
+        return (1.0 / (1.0 + self.nbar)) * (self.nbar / (1.0 + self.nbar)) ** n
 
 
 @dataclass
@@ -145,6 +152,65 @@ def _band_generator(k: int, N: int, gamma: float, nbar: float) -> np.ndarray:
     return A
 
 
+def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
+                               steps: int, eps_top: float = 1e-8):
+    """Relax a density matrix against a thermal reservoir, yielding the
+    states at t_j = j * t_end / steps, j = 0..steps, one at a time.
+
+    Band k = m - n of the number-basis equations steps through
+    expm(A_k * t_end / steps), computed once per band that starts
+    nonzero; the upper band is its conjugate, so every state is exactly
+    Hermitian. Memory holds the propagators but does not grow with steps,
+    and a single step holds one propagator at a time. TruncationError fires
+    when a state's top Fock level holds more than eps_top (the truncated
+    equations leak trace through it at rate gamma*nbar*(n_max+1)*rho[top])
+    or its trace drifts more than 1e-9 from one; raise n_max for either.
+    Every yielded matrix re-validates hermiticity and positivity.
+    """
+    if not isinstance(rho, DensityMatrix):
+        raise ModelInputError("the master equation acts on a DensityMatrix")
+    if t_end < 0:
+        raise RangeError("evolution time must be >= 0")
+    if steps < 1:
+        raise RangeError("steps must be >= 1")
+    yield rho.copy()
+    h = t_end / steps
+    if h == 0.0 or b.gamma == 0.0:
+        for _ in range(steps):
+            yield rho.copy()
+        return
+    n_max = rho.n_max
+    N = n_max + 1
+    bands = {k: np.diagonal(rho.rho, -k) for k in range(N)}
+    props = {}                  # kept for later steps, so one step holds one at a time
+    lo = np.arange(N)
+    for _ in range(steps):
+        r = np.zeros((N, N), dtype=complex)
+        for k, band in bands.items():
+            if not band.any():
+                continue
+            prop = props.get(k)
+            if prop is None:
+                prop = expm(_band_generator(k, N, b.gamma, b.nbar) * h)
+                if steps > 1:
+                    props[k] = prop
+            bands[k] = band = prop @ band
+            if k == 0:
+                r[lo, lo] = band.real
+            else:
+                r[lo[k:], lo[:-k]] = band
+                r[lo[:-k], lo[k:]] = band.conj()
+        top = float(r[n_max, n_max].real)
+        if top > eps_top:
+            raise TruncationError(f"top-level population {top:.2e} exceeds "
+                                  f"guard {eps_top:.1e}; raise n_max")
+        drift = abs(float(np.trace(r).real) - 1.0)
+        if drift > 1e-9:
+            raise TruncationError(f"trace drifted by {drift:.2e} (> 1e-9): population "
+                                  f"is reaching the truncation edge, raise n_max")
+        yield DensityMatrix(r, n_max)
+
+
 def master_equation_evolve(
     rho: DensityMatrix,
     b: BathParams,
@@ -152,57 +218,14 @@ def master_equation_evolve(
     dt: float | None = None,
     eps_top: float = 1e-8,
 ) -> DensityMatrix:
-    """Relax a motional density matrix against a thermal reservoir.
-
-    Exact propagation: each band k = m - n of the number-basis equations
-    evolves under its own real tridiagonal generator A_k, so the lower
-    band becomes expm(A_k t) applied to rho[n+k, n] and the upper band
-    its conjugate, which keeps the result exactly Hermitian. Bands that
-    start at zero stay zero and are skipped. dt is accepted for
-    compatibility and ignored (RangeError if given and <= 0).
-
-    TruncationError fires if the top Fock level of the result holds
-    population above eps_top, since the truncated equations leak trace
-    through that level at rate gamma*nbar*(n_max+1)*rho[top], or if the
-    final trace sits further than 1e-9 from one; the cure for both is a
-    larger n_max. The returned matrix re-validates hermiticity and
-    positivity.
+    """Relax a motional density matrix against a thermal reservoir for t:
+    the one-step view of master_equation_trajectory, with its guards. dt
+    is accepted for compatibility and ignored (RangeError if <= 0).
     """
-    if not isinstance(rho, DensityMatrix):
-        raise ModelInputError("master_equation_evolve acts on a DensityMatrix")
-    if t < 0:
-        raise RangeError("evolution time must be >= 0")
     if dt is not None and dt <= 0:
         raise RangeError("step dt must be > 0")
-    if t == 0.0 or b.gamma == 0.0:
-        return rho.copy()
-    n_max = rho.n_max
-    N = n_max + 1
-    r = np.zeros((N, N), dtype=complex)
-    lo = np.arange(N)
-    for k in range(N):
-        band = np.diagonal(rho.rho, -k)
-        if not band.any():
-            continue
-        out = expm(_band_generator(k, N, b.gamma, b.nbar) * t) @ band
-        if k == 0:
-            r[lo, lo] = out.real
-        else:
-            r[lo[k:], lo[:-k]] = out
-            r[lo[:-k], lo[k:]] = out.conj()
-    top = float(r[n_max, n_max].real)
-    if top > eps_top:
-        raise TruncationError(
-            f"top-level population {top:.2e} exceeds guard {eps_top:.1e}; "
-            f"raise n_max"
-        )
-    drift = abs(float(np.trace(r).real) - 1.0)
-    if drift > 1e-9:
-        raise TruncationError(
-            f"trace drifted by {drift:.2e} (> 1e-9): population is reaching "
-            f"the truncation edge, raise n_max"
-        )
-    return DensityMatrix(r, n_max)
+    *_, out = master_equation_trajectory(rho, b, t, 1, eps_top)
+    return out
 
 
 def mean_n_evolution(n0: float, b: BathParams, t):

@@ -5,10 +5,12 @@ codes and stderr text are checked exactly as a shell would see them; one
 subprocess test confirms the module is runnable as `python -m ionsim.cli`.
 """
 
+import copy
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -308,6 +310,66 @@ def test_json_non_finite_metric_is_null_and_fails(tmp_path, capsys):
     assert doc["result"] == "FAIL"
 
 
+def _bounded_fields(schema, prefix=""):
+    """(dotted path, field) for every int or int_list field with a bound."""
+    for key, f in schema.items():
+        if f.kind == "block":
+            yield from _bounded_fields(f.schema, f"{prefix}{key}.")
+        elif f.lo is not None or f.hi is not None:
+            yield f"{prefix}{key}", f
+
+
+BOUND_CASES = [
+    (kind, path, f.kind, side, bound)
+    for kind, (schema, _) in cli._HANDLERS.items()
+    for path, f in _bounded_fields(schema)
+    for side, bound in (("lo", f.lo), ("hi", f.hi)) if bound is not None
+]
+
+# optional blocks that no bundled scenario holds, with their required keys
+EXTRA_BLOCKS = {"trap": {"trajectory": {"amplitude": "1 um", "t_end": "1 us"}}}
+
+
+def _body_holding(kind, blocks):
+    """A bundled scenario of this kind whose params hold the nested blocks."""
+    for s in cli.list_scenarios():
+        if s["kind"] != kind:
+            continue
+        body = _bundled(s["name"])
+        params = {**copy.deepcopy(EXTRA_BLOCKS.get(kind, {})), **body["params"]}
+        body["params"] = block = params
+        for b in blocks:
+            block = block.get(b)
+            if not isinstance(block, dict):
+                break
+        else:
+            return body, block
+    pytest.fail(f"no bundled {kind} scenario holds params.{'.'.join(blocks)}")
+
+
+@pytest.mark.parametrize("kind,path,field_kind,side,bound", BOUND_CASES,
+                         ids=[f"{k}:{p}:{s}" for k, p, _, s, _ in BOUND_CASES])
+def test_integer_bound_exits_2_before_allocating(kind, path, field_kind, side,
+                                                 bound, tmp_path, capsys):
+    *blocks, key = path.split(".")
+    body, block = _body_holding(kind, blocks)
+    value = bound + 1 if side == "hi" else bound - 1
+    is_list = field_kind == "int_list"
+    block[key] = [value] if is_list else value
+    cfg = write_cfg(tmp_path, body)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"params.{path}{'[0]' if is_list else ''}: must be" in err
+    assert peak < 2**20          # a capped field's arrays start at tens of MiB
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_physics_error_exits_3(tmp_path, capsys):
     # ladder truncated far too low for this bath: trace guard must trip
     cfg = write_cfg(tmp_path, {
@@ -528,6 +590,23 @@ def test_bundled_scenario_passes(name, tmp_path, recwarn):
     assert name in GOLDEN, "scenario missing from tests/golden/scenarios.json"
     diff = mismatches(GOLDEN[name], parse_csv((out / f"{name}.csv").read_text()))
     assert not diff, "\n".join(diff)
+
+
+def test_bundled_heat_run_makes_one_expm_call(tmp_path, monkeypatch):
+    # the Fock initial state fills one band, and a uniform grid needs that
+    # band's propagator once (stepping the grid called expm 59 times)
+    from ionsim import decoherence
+
+    shapes = []
+
+    def counting_expm(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    expm = decoherence.expm
+    monkeypatch.setattr(decoherence, "expm", counting_expm)
+    assert cli.main(["run", "heat.master_equation", "--out", str(tmp_path)]) == 0
+    assert shapes == [(19, 19)]
 
 
 def test_module_runnable_as_script(tmp_path):

@@ -36,6 +36,7 @@ from ionsim.decoherence import (
     fast_amplitude_noise_visibility,
     invert_populations,
     master_equation_evolve,
+    master_equation_trajectory,
     mean_n_evolution,
     rabi_decay_signal,
     radiative_decay_rate,
@@ -147,6 +148,8 @@ def test_evolution_input_validation():
         master_equation_evolve(rho, b, t=-1.0, dt=0.01)
     with pytest.raises(RangeError):
         master_equation_evolve(rho, b, t=1.0, dt=0.0)
+    with pytest.raises(RangeError):
+        next(master_equation_trajectory(rho, b, 1.0, 0))
 
 
 def test_truncation_guard_fires_on_undersized_basis():

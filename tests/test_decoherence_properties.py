@@ -6,7 +6,8 @@ Oracles used here and nowhere else:
 * The closed-form mean occupation nbar + (n0 - nbar) e^(-gamma t), which
   holds for any initial state, not only Fock states.
 * The semigroup law of a time-independent generator: evolving for
-  t1 + t2 equals evolving for t1, then for t2.
+  t1 + t2 equals evolving for t1, then for t2, and a trajectory's state j
+  equals j chained evolutions over one grid step.
 * scipy.integrate.solve_ivp (DOP853) on the original, explicitly
   time-dependent three-level equations, for either envelope.
 """
@@ -20,6 +21,7 @@ from scipy.integrate import solve_ivp
 from ionsim.decoherence import (
     BathParams,
     master_equation_evolve,
+    master_equation_trajectory,
     mean_n_evolution,
     spectator_leakage,
 )
@@ -61,12 +63,19 @@ def test_master_equation_keeps_a_density_matrix(seed, gamma, nbar, t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seeds, rates, occupations, times, times)
-def test_master_equation_semigroup(seed, gamma, nbar, t1, t2):
+@given(seeds, rates, occupations, times, times, st.integers(1, 8))
+def test_master_equation_semigroup(seed, gamma, nbar, t1, t2, steps):
     rho, b = _random_dm(seed), BathParams(gamma, nbar)
     once = master_equation_evolve(rho, b, t1 + t2).rho
     twice = master_equation_evolve(master_equation_evolve(rho, b, t1), b, t2).rho
     assert np.abs(once - twice).max() <= 1e-12
+    # trajectory state j is j chained one-step evolutions over t1 / steps
+    chained, count = rho, 0
+    for state in master_equation_trajectory(rho, b, t1, steps):
+        assert np.abs(state.rho - chained.rho).max() <= 1e-12
+        chained = master_equation_evolve(chained, b, t1 / steps)
+        count += 1
+    assert count == steps + 1
 
 
 @settings(max_examples=40, deadline=None)
