@@ -181,14 +181,12 @@ def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
         return
     n_max = rho.n_max
     N = n_max + 1
-    bands = {k: np.diagonal(rho.rho, -k) for k in range(N)}
+    bands = {k: x for k in range(N) if (x := np.diagonal(rho.rho, -k)).any()}
     props = {}                  # kept for later steps, so one step holds one at a time
     lo = np.arange(N)
     for _ in range(steps):
         r = np.zeros((N, N), dtype=complex)
         for k, band in bands.items():
-            if not band.any():
-                continue
             prop = props.get(k)
             if prop is None:
                 prop = expm(_band_generator(k, N, b.gamma, b.nbar) * h)
