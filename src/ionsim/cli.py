@@ -9,7 +9,8 @@ declares every key, unit and integer bound; its handler only maps the
 validated params to library calls and the results to columns and metrics.
 
 Exit codes: 0 success, 2 configuration error (the message names the
-offending key), 3 physics-model error raised by the library. A failed
+offending key), 3 physics-model error raised by the library or failed
+arithmetic (overflow, division by zero, a math domain error). A failed
 expectation is recorded in the manifest but is not an error, and a
 non-finite metric fails every expectation on it (``--json`` writes it as
 null, so the summary stays strict JSON); pass
@@ -43,6 +44,7 @@ from ._svg import line_plot
 from .cooling import CoolingConfig, cooling_limit, sideband_cool
 from .coupling import CouplingParams, ModeEnsemble, debye_waller_stats, ladder, magic_eta
 from .decoherence import (
+    FAST_NOISE_PHASES,
     BathParams,
     RabiSignal,
     coherence_tomography,
@@ -119,8 +121,8 @@ def _diag_density(init: dict, path: str = "params.initial") -> DensityMatrix:
 
 _TAU_SCHEMA = {
     "stop": Field("quantity", unit="s", required=True),
-    # noise envelopes average 2048 drive phases at every point
-    "points": Field("int", default=600, lo=2, hi=_MAX_CELLS // 2048),
+    # noise envelopes average FAST_NOISE_PHASES drive phases at every point
+    "points": Field("int", default=600, lo=2, hi=_MAX_CELLS // FAST_NOISE_PHASES),
 }
 
 
@@ -394,7 +396,6 @@ _HEAT_SCHEMA = {
     "initial": Field("block", schema=_INITIAL_SCHEMA),
     "t_end": Field("quantity", unit="s"),
     "points": Field("int", default=60, lo=2, hi=_MAX_CELLS // 5),
-    "dt": Field("quantity", unit="s"),              # accepted, unused: exact propagator
     # estimators (shared ion properties)
     "mass": Field("quantity", unit="kg"),
     "charge": Field("quantity", unit="C"),
@@ -1017,7 +1018,9 @@ def main(argv=None) -> int:
     except Warning as warn:
         print(f"strict: {type(warn).__name__}: {warn}", file=sys.stderr)
         return 3
-    except IonsimError as err:
+    except (IonsimError, ArithmeticError, ValueError) as err:
+        # arithmetic that overflows, divides by zero or leaves a math domain
+        # (numpy's LinAlgError is a ValueError) is a physics error as well
         print(f"physics error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 

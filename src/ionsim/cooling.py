@@ -154,6 +154,28 @@ def _cycle_areas(cfg: CoolingConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.7 * base, 1.3 * base, cfg.cycles)
 
 
+def _kick_weights(scatters: int, h: float, top: int) -> np.ndarray:
+    """Binomial weights of gaining k = 0..min(scatters, top) quanta over the
+    repump scatters, each heating with probability h.
+
+    The weights are formed in log space, so no term overflows. A kick of
+    top = n_max + 1 or more quanta moves every level to the top one, so
+    the entry at k = top carries all of them.
+    """
+    if h == 0.0:
+        return np.ones(1)
+    lh, lq = math.log(h), math.log1p(-h)
+    lead = math.lgamma(scatters + 1)
+    w = np.array([math.exp(lead - math.lgamma(k + 1) - math.lgamma(scatters - k + 1)
+                           + k * lh + (scatters - k) * lq)
+                  for k in range(min(scatters, top) + 1)])
+    if scatters > top:
+        from scipy.special import betainc
+
+        w[-1] = betainc(top, scatters - top + 1, h)     # P(k >= top)
+    return w
+
+
 def sideband_cool(initial: DensityMatrix, cfg: CoolingConfig, seed=None) -> CoolingResult:
     """Run the per-cycle rate model and record the trajectory.
 
@@ -189,12 +211,7 @@ def sideband_cool(initial: DensityMatrix, cfg: CoolingConfig, seed=None) -> Cool
     h = cfg.recoil_ratio
     if h >= 1.0:
         raise RegimeError("omega_R/omega_z >= 1: recoil dominates, model invalid")
-    # distribution of quanta gained over the repump scatters (binomial)
-    ks = np.arange(cfg.scatters_per_cycle + 1)
-    kick = np.array(
-        [math.comb(cfg.scatters_per_cycle, int(k)) * h ** k * (1 - h) ** (cfg.scatters_per_cycle - k)
-         for k in ks]
-    )
+    kick = _kick_weights(cfg.scatters_per_cycle, h, n_max + 1)
 
     rng = np.random.default_rng(seed)
     areas = _cycle_areas(cfg, rng)

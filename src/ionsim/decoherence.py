@@ -19,7 +19,7 @@ and every Monte Carlo style check lives in the test suite, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,14 +96,13 @@ class BathParams:
 class RabiSignal:
     """Sampled lower-state probability versus pulse duration.
 
-    tau_grid must be strictly increasing and nonnegative. P_down is
-    validated to lie in [0, 1] within 1e-9 and stored clipped; variance,
-    when present, holds the per-point measurement variance of P_down.
+    Holds two equal 1-d float arrays of at least two samples: tau_grid,
+    strictly increasing and nonnegative, and P_down, validated to lie in
+    [0, 1] within 1e-9 and stored clipped.
     """
 
     tau_grid: np.ndarray
     P_down: np.ndarray
-    variance: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         tau = np.asarray(self.tau_grid, dtype=float)
@@ -120,13 +119,6 @@ class RabiSignal:
             raise ModelInputError("P_down outside [0, 1] beyond 1e-9 tolerance")
         self.tau_grid = tau
         self.P_down = np.clip(p, 0.0, 1.0)
-        if self.variance is not None:
-            v = np.asarray(self.variance, dtype=float)
-            if v.shape != tau.shape:
-                raise DimensionError("variance shape must match tau grid")
-            if np.min(v) < 0:
-                raise ModelInputError("variance must be nonnegative")
-            self.variance = v
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +307,8 @@ def invert_populations(
     (IllConditionedError). If the raw solution overshoots unit total
     population it is rescaled onto the simplex boundary.
 
-    Returns {"P": estimates, "residual": rms misfit of P_down,
-    "P_fourier": matched-filter projections kept for comparison}.
+    Returns {"P": the n_cut + 1 estimated populations, "residual": the
+    rms misfit of P_down}.
     """
     if n_cut < 0:
         raise RangeError("n_cut must be >= 0")
@@ -348,16 +340,7 @@ def invert_populations(
         p_hat = p_hat / total
     resid = basis @ p_hat - y
     residual = float(np.linalg.norm(resid) / (2.0 * math.sqrt(tau.size)))
-
-    # matched-filter route: project each component independently
-    p_fourier = np.empty(n_cut + 1)
-    for n in range(n_cut + 1):
-        col = basis[:, n]
-        denom = float(np.trapezoid(col * col, tau))
-        num = float(np.trapezoid(y * col, tau))
-        p_fourier[n] = max(0.0, num / denom) if denom > 0 else 0.0
-
-    return {"P": p_hat, "residual": residual, "P_fourier": p_fourier}
+    return {"P": p_hat, "residual": residual}
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +351,30 @@ def slow_amplitude_noise_envelope(dist: str, dOmega_rms: float, tau_grid, Omega0
     """Ensemble-averaged flop when the drive strength is static per shot.
 
     The strength is drawn once per experiment from a distribution of rms
-    width dOmega_rms around Omega0; averaging the cosine gives
+    width dOmega_rms around Omega0; dist, exactly "gaussian" or
+    "laplacian", selects the averaged cosine returned on tau_grid:
 
-        gaussian:        <P_down> = 1/2 [1 + cos(2 Omega0 tau) e^(-2 (dOmega_rms tau)^2)]
-        laplacian-like:  <P_down> = 1/2 [1 + cos(2 Omega0 tau) / (1 + 2 (dOmega_rms tau)^2)]
+        gaussian:   <P_down> = 1/2 [1 + cos(2 Omega0 tau) e^(-2 (dOmega_rms tau)^2)]
+        laplacian:  <P_down> = 1/2 [1 + cos(2 Omega0 tau) / (1 + 2 (dOmega_rms tau)^2)]
 
     Both envelopes lose half their contrast within a factor of two of
     tau = 1/dOmega_rms (exactly at sqrt(ln 2 / 2) and 1/sqrt(2) times it).
+    Any other dist raises ModelInputError.
     """
     if dOmega_rms < 0:
         raise RangeError("dOmega_rms must be >= 0")
     tau = np.asarray(tau_grid, dtype=float)
-    kind = dist.lower().replace("_", "-")
-    if kind == "gaussian":
+    if dist == "gaussian":
         env = np.exp(-2.0 * (dOmega_rms * tau) ** 2)
-    elif kind in ("laplacian", "laplacian-like", "laplace"):
+    elif dist == "laplacian":
         env = 1.0 / (1.0 + 2.0 * (dOmega_rms * tau) ** 2)
     else:
         raise ModelInputError(f"unknown distribution {dist!r}")
     return 0.5 * (1.0 + env * np.cos(2.0 * Omega0 * tau))
+
+
+# drive phases of the fast-noise average, uniform over one period
+FAST_NOISE_PHASES = 2048
 
 
 def fast_amplitude_noise_visibility(
@@ -394,7 +382,6 @@ def fast_amplitude_noise_visibility(
     omega_amp: float,
     tau_grid,
     Omega0: float,
-    n_phi: int = 2048,
 ) -> dict:
     """Phase-averaged flop under sinusoidal drive-strength modulation.
 
@@ -405,8 +392,9 @@ def fast_amplitude_noise_visibility(
         <P_down> = 1/2 + 1/2 cos(2 Omega0 tau) [1 - 2 r^2 (1 - cos(omega_amp tau))]
 
     so the visibility loss is bounded by 4 r^2. Returns the closed form
-    together with the numerically exact phase average on a uniform grid
-    (trapezoid on the periodic interval, spectrally accurate).
+    together with the numerically exact average over FAST_NOISE_PHASES
+    uniform phases (trapezoid on the periodic interval, spectrally
+    accurate).
 
     RangeError when |r| > 0.3, where the expansion degrades.
     """
@@ -420,7 +408,7 @@ def fast_amplitude_noise_visibility(
     closed = 0.5 + 0.5 * np.cos(2.0 * Omega0 * tau) * (
         1.0 - 2.0 * r * r * (1.0 - np.cos(wt))
     )
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    phases = np.linspace(0.0, 2.0 * math.pi, FAST_NOISE_PHASES, endpoint=False)
     # accumulated half-angle: Omega0 tau + r [cos(phase)(1-cos wt) + sin(phase) sin wt]
     half = Omega0 * tau[None, :] + r * (
         np.cos(phases)[:, None] * (1.0 - np.cos(wt))[None, :]
@@ -471,8 +459,10 @@ def stark_phase_noise_ratio(
 # spectator level leakage
 
 
-# RK4 steps per period of the fastest rate in the spectator problem
+# RK4 steps per period of the fastest rate in the spectator problem, and
+# the most steps one pulse may take
 _STEPS_PER_CYCLE = 60
+_MAX_STEPS = 10**6
 
 
 def _raised_cosine(t: float, T: float, tau_r: float) -> float:
@@ -516,7 +506,8 @@ def spectator_leakage(
     complex vector rides along under "amplitudes"), the
     adiabatic-following estimate |Omega' C_dn(T) / Delta| the spectator
     freezes at under a sudden turn-off, the shift itself, and the
-    integrator norm defect.
+    integrator norm defect. A pulse that would take more than 10^6 RK4
+    steps raises RangeError.
     """
     if Delta == 0:
         raise ModelInputError("spectator detuning Delta must be nonzero")
@@ -541,7 +532,10 @@ def spectator_leakage(
     delta = stark if compensate else 0.0
     T = float(duration)
     w_max = max(abs(Delta), abs(Delta - delta), 2 * abs(Omega), 2 * abs(Omega_prime), abs(delta))
-    n_steps = max(400, int(math.ceil(_STEPS_PER_CYCLE * T * w_max / (2.0 * math.pi))))
+    steps = _STEPS_PER_CYCLE * T * w_max / (2.0 * math.pi)
+    if steps > _MAX_STEPS:
+        raise RangeError(f"the pulse needs {steps:.4g} RK4 steps, more than {_MAX_STEPS:.0e}")
+    n_steps = max(400, int(math.ceil(steps)))
     h = T / n_steps
 
     if envelope == "square":
@@ -626,11 +620,7 @@ def bfield_modulation(beta0: float, omega_m: float, Omega_nn: float, k_max: int 
 _TOMO_PHASES = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
 
 
-def coherence_tomography(
-    state: QuantumState,
-    coupling: CouplingParams,
-    delta_phi=_TOMO_PHASES,
-) -> dict:
+def coherence_tomography(state: QuantumState, coupling: CouplingParams) -> dict:
     """Read out the 0-1 motional coherence of a lower-spin state.
 
     Protocol: a first-sideband pi pulse (full transfer on the lowest
@@ -646,6 +636,9 @@ def coherence_tomography(
     on the real and imaginary parts exactly. Coherences between higher
     neighboring levels alias into the estimate unless they vanish or
     average out over repeated preparations.
+
+    Returns {"re", "im"}: the estimated Re and Im rho_01, and "P_down":
+    the lower-state probability at each of the four analysis phases.
     """
     if not isinstance(state, QuantumState):
         raise ModelInputError("coherence_tomography acts on a QuantumState")
@@ -655,16 +648,6 @@ def coherence_tomography(
     )
     if up_pop > 1e-12:
         raise ModelInputError("prepared state must live in the lower-spin manifold")
-    want = set()
-    for ph in delta_phi:
-        hit = [c for c in _TOMO_PHASES if abs(ph - c) < 1e-12]
-        if not hit:
-            raise ModelInputError(
-                f"analysis phase {ph!r} is not one of 0, pi/2, pi, -pi/2"
-            )
-        want.add(hit[0])
-    if want != set(_TOMO_PHASES):
-        raise ModelInputError("all four analysis phases are required")
 
     N = n_max + 1
     p_down = {}

@@ -66,10 +66,6 @@ class RegisterSizeError(IonsimError):
     """Requested register size exceeds the supported dense-simulation cap."""
 
 
-class TimeOrderError(IonsimError):
-    """Events supplied to a phase ledger are not in causal (time) order."""
-
-
 class IllConditionedError(IonsimError):
     """A least-squares inversion is too ill-conditioned to be meaningful."""
 

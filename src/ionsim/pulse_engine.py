@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -41,7 +41,6 @@ from .errors import (
     ModelInputError,
     RangeError,
     RegisterSizeError,
-    TimeOrderError,
 )
 from .quantum_core import (
     DEFAULT_EPS_TRUNC,
@@ -51,6 +50,7 @@ from .quantum_core import (
     apply_unitary,
     make_state,
     overlap,
+    require_unitary,
     truncation_guard,
 )
 
@@ -121,13 +121,6 @@ class PulseSpec:
                 )
 
 
-def transition_class(p: PulseSpec) -> str:
-    """Ledger key for the resonance class of a pulse."""
-    if p.transition == "carrier":
-        return "carrier"
-    return f"{p.transition}{p.order}"
-
-
 # ---------------------------------------------------------------------------
 # two-level building block
 
@@ -156,101 +149,15 @@ def _rotation_block(Omega, Delta: float, t: float, phi: float, dn: int) -> np.nd
     return U
 
 
-def two_level_rotation(
-    theta: float,
-    phi: float = 0.0,
-    Delta: float = 0.0,
-    Omega_eff: float = 1.0,
-    dn: int = 0,
-) -> np.ndarray:
-    """Exact propagator of one driven pair, basis (upper, lower).
-
-    theta is the pulse area 2*Omega_eff*t; the duration is recovered as
-    theta / (2|Omega_eff|) and the detuning acts over that duration. On
-    resonance the matrix reduces to the sinusoidal flopping form with the
-    i^dn sideband phase; theta=pi, phi=0, Delta=0, dn=0 sends the lower
-    state to -i times the upper one.
-    """
-    if theta < 0:
-        raise RangeError("pulse area theta must be >= 0")
-    if theta == 0.0:
-        return np.eye(2, dtype=complex)
-    if Omega_eff == 0.0:
-        raise RangeError("zero coupling cannot accumulate a finite pulse area")
-    t = theta / (2.0 * abs(Omega_eff))
-    U = _rotation_block(Omega_eff, Delta, t, phi, dn)
-    _require_unitary(U)
-    return U
-
-
-def _require_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
-    if __debug__:
-        d = U.shape[-1]     # one matrix, or a stack of them
-        defect = float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(d))))
-        if defect > tol:
-            raise ModelInputError(f"constructed matrix is not unitary (defect {defect:.2e})")
-
-
-# ---------------------------------------------------------------------------
-# phase ledger
-
-
-@dataclass
-class PhaseLedger:
-    """Accumulated interaction-picture phase per (ion, resonance class).
-
-    Between pulses each transition's frame advances by the integral of its
-    detuning; apply_pulse adds the stored value to the field phase so a
-    sequence separated by free evolution stays phase coherent.
-    """
-
-    phases: dict = field(default_factory=dict)
-    clock: dict = field(default_factory=dict)
-    history: list = field(default_factory=list)
-
-    def phase(self, ion: int, klass: str = "carrier") -> float:
-        return self.phases.get((ion, klass), 0.0)
-
-
-def phase_ledger_advance(
-    ledger: PhaseLedger,
-    ion: int,
-    Delta_t_profile,
-    klass: str = "carrier",
-) -> PhaseLedger:
-    """Accumulate free-evolution phase for one ion.
-
-    Delta_t_profile is an iterable of (t0, t1, Delta) segments with Delta
-    constant on [t0, t1]. Segments must not step backwards in time for
-    the same ion; a regression raises TimeOrderError. The ledger is
-    mutated and returned.
-    """
-    for seg in Delta_t_profile:
-        t0, t1, Delta = float(seg[0]), float(seg[1]), float(seg[2])
-        if t1 < t0:
-            raise TimeOrderError(f"segment ends at {t1} before it starts at {t0}")
-        last = ledger.clock.get(ion)
-        if last is not None and t0 < last:
-            raise TimeOrderError(
-                f"segment starting at {t0} precedes ion {ion}'s clock at {last}"
-            )
-        inc = Delta * (t1 - t0)
-        key = (ion, klass)
-        ledger.phases[key] = ledger.phases.get(key, 0.0) + inc
-        ledger.clock[ion] = t1
-        ledger.history.append((ion, klass, t0, t1, inc))
-    return ledger
-
-
 # ---------------------------------------------------------------------------
 # pulses on a physical ion
 
 
-def _pulse_blocks(p: PulseSpec, n_max: int, ledger_phase: float):
+def _pulse_blocks(p: PulseSpec, n_max: int):
     """Flat indices of |up, nu> and |down, nl> for each coupled pair, and
     the stacked 2x2 propagators of the pairs, shape (pairs, 2, 2)."""
     theta_eff = p.theta + p.zeta
-    phi_tot = p.phi + p.phi_err + ledger_phase
+    phi_tot = p.phi + p.phi_err
     if theta_eff < 0:
         # the same pulse with its phase shifted by pi
         theta_eff, phi_tot = -theta_eff, phi_tot + math.pi
@@ -275,39 +182,40 @@ def _pulse_blocks(p: PulseSpec, n_max: int, ledger_phase: float):
     return n_max + 1 + nu, nl, blocks
 
 
-def pulse_unitary(p: PulseSpec, n_max: int, ledger_phase: float = 0.0) -> np.ndarray:
+def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
     """Full-space unitary of one pulse on the (spin x Fock) truncation.
 
-    Every coupled pair evolves for the same duration at its own exact
-    matrix element; uncoupled edge levels are left untouched. The caller
-    is responsible for checking that those edge levels are unpopulated
-    (apply_pulse does this).
+    Takes the pulse and the Fock cutoff n_max and returns the dense
+    2(n_max+1) x 2(n_max+1) matrix in the quantum_core basis ordering,
+    with the field phase p.phi + p.phi_err. Every coupled pair evolves for
+    the same duration at its own exact matrix element; uncoupled edge
+    levels are left untouched. The caller is responsible for checking
+    that those edge levels are unpopulated (apply_pulse does this).
     """
-    iu, il, blk = _pulse_blocks(p, n_max, ledger_phase)
+    iu, il, blk = _pulse_blocks(p, n_max)
     U = np.eye(2 * (n_max + 1), dtype=complex)
     U[iu, iu] = blk[:, 0, 0]
     U[iu, il] = blk[:, 0, 1]
     U[il, iu] = blk[:, 1, 0]
     U[il, il] = blk[:, 1, 1]
-    _require_unitary(U)
+    require_unitary(U)
     return U
 
 
 def apply_pulse(
     state: QuantumState,
     p: PulseSpec,
-    ledger: PhaseLedger | None = None,
-    ion: int = 0,
     eps_trunc: float = DEFAULT_EPS_TRUNC,
     strict: bool = False,
 ) -> QuantumState:
-    """Apply one pulse to a physical ion state.
+    """Apply one pulse to a physical ion state and return the new state.
 
-    A sideband pulse whose topmost coupled partner would sit above the
-    Fock truncation is refused (InvalidTransitionError) whenever the
-    stranded edge levels carry population above 1e-12. With a ledger the
-    accumulated phase for (ion, resonance class) offsets the field phase.
-    The pulse acts pair by pair; no full-space matrix is built.
+    The field phase is p.phi + p.phi_err. A sideband pulse whose topmost
+    coupled partner would sit above the Fock truncation is refused
+    (InvalidTransitionError) whenever the stranded edge levels carry
+    population above 1e-12. The pulse acts pair by pair; no full-space
+    matrix is built. Population in the top two Fock levels above
+    eps_trunc warns, or raises TruncationError when strict is set.
     """
     if not isinstance(state, QuantumState):
         raise ModelInputError("apply_pulse acts on a QuantumState")
@@ -327,9 +235,8 @@ def apply_pulse(
                     f"{p.transition} sideband of order {o} from ({spin},{n}) "
                     f"would leave the truncation n_max={n_max}"
                 )
-    lphase = ledger.phase(ion, transition_class(p)) if ledger is not None else 0.0
-    iu, il, blk = _pulse_blocks(p, n_max, lphase)
-    _require_unitary(blk)
+    iu, il, blk = _pulse_blocks(p, n_max)
+    require_unitary(blk)
     amps = state.amplitudes.astype(complex)
     up, lo = amps[iu], amps[il]
     amps[iu] = blk[:, 0, 0] * up + blk[:, 0, 1] * lo
@@ -343,7 +250,7 @@ def apply_pulse(
 # gate reports
 
 
-def gate_fidelity(U: np.ndarray, ideal: np.ndarray, inputs=None) -> float:
+def gate_fidelity(U: np.ndarray, ideal: np.ndarray) -> float:
     """Mean squared overlap of gate outputs over basis inputs.
 
     Phase-insensitive per input state: each column pair contributes
@@ -354,8 +261,7 @@ def gate_fidelity(U: np.ndarray, ideal: np.ndarray, inputs=None) -> float:
     V = np.asarray(ideal, dtype=complex)
     if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ModelInputError("gate_fidelity needs two square matrices of equal size")
-    cols = range(U.shape[0]) if inputs is None else inputs
-    vals = [abs(np.vdot(V[:, j], U[:, j])) ** 2 for j in cols]
+    vals = [abs(np.vdot(V[:, j], U[:, j])) ** 2 for j in range(U.shape[0])]
     return float(np.mean(vals))
 
 
@@ -369,23 +275,13 @@ class GateReport:
     basis: tuple
 
 
-def _truth_table(U: np.ndarray, basis, inputs=None) -> dict:
+def _truth_table(U: np.ndarray, basis) -> dict:
     table = {}
-    cols = range(U.shape[0]) if inputs is None else inputs
-    for j in cols:
+    for j in range(U.shape[0]):
         col = U[:, j]
         k = int(np.argmax(np.abs(col)))
         table[basis[j]] = basis[k] if abs(col[k]) ** 2 >= 1.0 - 1e-9 else "superposition"
     return table
-
-
-# ---------------------------------------------------------------------------
-# phase gates
-
-
-def phase_gate(phi: float) -> np.ndarray:
-    """Diagonal two-qubit phase gate diag(1, 1, 1, e^{i phi}) on {e1 e2}."""
-    return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +334,7 @@ def cn_gate_three_pulse(aux_coupling: CouplingParams, phi_a: float = 0.0) -> Gat
     if leak > 1e-12:
         raise ModelInputError(f"auxiliary level retains amplitude {leak:.2e}")
     U = U6[np.ix_(comp, comp)]
-    _require_unitary(U)
+    require_unitary(U)
     return GateReport(
         unitary=U,
         truth_table=_truth_table(U, _CN_BASIS),
@@ -478,7 +374,7 @@ def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0, Omega: fl
     # quantum_core ordering dn0,dn1,up0,up1 -> report ordering dn0,up0,dn1,up1
     perm = [0, 2, 1, 3]
     U = (-1.0) ** m * U_full[np.ix_(perm, perm)]
-    _require_unitary(U)
+    require_unitary(U)
     return GateReport(
         unitary=U,
         truth_table=_truth_table(U, _CN_BASIS),
@@ -629,54 +525,6 @@ def apply_cn_between_ions(reg: RegisterState, c: int, t: int) -> RegisterState:
     a = _bus_cn_on_spin(a, t_lo, t_hi)
     a = _red_pi_map_out(a, c_lo, c_hi, reg.n_bus)
     return RegisterState(reg.L, reg.n_bus, a)
-
-
-def cn_between_ions(c: int = 0, t: int = 1, n_bus: int = 1) -> GateReport:
-    """Report form of the ion-to-ion controlled-not over (spin_c, spin_t, bus).
-
-    The unitary covers the full 4*(n_bus+1) dimensional space in the basis
-    ordering (s_c, s_t, n) with s_c slowest; the truth table and fidelity
-    are taken over the four bus-ground inputs, where the action is the
-    permutation that flips t exactly when c is up.
-    """
-    if c == t:
-        raise ModelInputError("control and target must differ")
-    if n_bus < 1:
-        raise RangeError("bus mode needs n_bus >= 1")
-    nb = n_bus + 1
-    dim = 4 * nb
-    spins = ("dn", "up")
-    basis = tuple(
-        f"{spins[sc]}{spins[st]}{n}" for sc in (0, 1) for st in (0, 1) for n in range(nb)
-    )
-    c_lo, c_hi = np.array([0, 2]), np.array([1, 3])  # bit 0 = ion c's spin
-    t_lo, t_hi = np.array([0, 1]), np.array([2, 3])
-    U = np.zeros((dim, dim), dtype=complex)
-    for sc in (0, 1):
-        for st in (0, 1):
-            for n in range(nb):
-                amps = np.zeros((4, nb), dtype=complex)
-                amps[sc + 2 * st, n] = 1.0
-                a = _red_pi_map_in(amps, c_lo, c_hi, n_bus)
-                a = _bus_cn_on_spin(a, t_lo, t_hi)
-                a = _red_pi_map_out(a, c_lo, c_hi, n_bus)
-                col = (sc * 2 + st) * nb + n
-                for b2 in range(4):
-                    sc2, st2 = b2 & 1, (b2 >> 1) & 1
-                    for n2 in range(nb):
-                        U[(sc2 * 2 + st2) * nb + n2, col] = a[b2, n2]
-    _require_unitary(U)
-    ground_inputs = [(sc * 2 + st) * nb for sc in (0, 1) for st in (0, 1)]
-    ideal = np.eye(dim, dtype=complex)
-    # flip t on the c=up bus-ground columns
-    for st in (0, 1):
-        col = (1 * 2 + st) * nb
-        row = (1 * 2 + (1 - st)) * nb
-        ideal[:, col] = 0.0
-        ideal[row, col] = 1.0
-    table = _truth_table(U, basis, inputs=ground_inputs)
-    fid = gate_fidelity(U, ideal, inputs=ground_inputs)
-    return GateReport(unitary=U, truth_table=table, fidelity_vs_ideal=fid, basis=basis)
 
 
 def prepare_max_entangled(

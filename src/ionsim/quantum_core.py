@@ -237,10 +237,7 @@ def apply_unitary(
         raise ModelInputError(f"cannot apply a unitary to {type(state).__name__}")
     if U.shape != (dim, dim):
         raise DimensionError(f"operator shape {U.shape} does not match dimension {dim}")
-    if __debug__:
-        defect = float(np.max(np.abs(U.conj().T @ U - np.eye(dim))))
-        if defect > 1e-10:
-            raise ModelInputError(f"matrix is not unitary (defect {defect:.2e})")
+    require_unitary(U)
 
     if isinstance(state, QuantumState):
         out = QuantumState(U @ state.amplitudes, state.n_max)
@@ -253,6 +250,16 @@ def apply_unitary(
     out = DensityMatrix(out_rho, state.n_max, validate=False)
     truncation_guard(float(np.sum(np.diag(out.rho).real[-2:])), eps_trunc, strict)
     return out
+
+
+def require_unitary(U: np.ndarray) -> None:
+    """ModelInputError unless U, one matrix or a stack of them, is unitary
+    to 1e-10 in every entry of U+ U - 1 (checked under __debug__)."""
+    if __debug__:
+        d = U.shape[-1]
+        defect = float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(d))))
+        if defect > 1e-10:
+            raise ModelInputError(f"matrix is not unitary (defect {defect:.2e})")
 
 
 def truncation_guard(tail: float, eps_trunc: float, strict: bool) -> None:

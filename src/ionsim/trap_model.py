@@ -376,6 +376,8 @@ def _solve_chain(L: int, max_iter: int = 200, tol: float = 1e-12):
 
 def length_scale(omega_z: float, charge: float, mass: float) -> float:
     """Natural ion-ion spacing scale (charge^2/(4 pi eps0 m omega_z^2))^(1/3)."""
+    if omega_z <= 0 or mass <= 0:
+        raise RangeError("omega_z and mass must be positive")
     return (charge**2 / (4.0 * math.pi * epsilon_0 * mass * omega_z**2)) ** (1.0 / 3.0)
 
 
@@ -548,9 +550,7 @@ def heating_time_estimate(model: str, **inputs) -> HeatingEstimate:
         temperature T: t* = hbar omega_z ell_L / (k_B T r), with
         ell_L = m d^2/(L (alpha q)^2) the equivalent inductance (pass
         ell_L directly, or mass/d/charge with optional alpha and n_ions).
-        Alternative inputs: a quality factor Q with T (t* = hbar Q/(k_B T)),
-        or a field-noise density S_E with mass/charge/omega_z
-        (t* = 4 m hbar omega_z / (q^2 S_E)).
+        Alternative input: a quality factor Q with T (t* = hbar Q/(k_B T)).
     model = "stray_field"
         Static field E_s converts endcap-voltage noise S_U into field
         noise: t* = [4 m hbar omega_z/(q^2 S_U)] (U0/E_s)^2. U0 may be
@@ -559,8 +559,9 @@ def heating_time_estimate(model: str, **inputs) -> HeatingEstimate:
         Diffusing surface-potential patches with spectral density
         S(nu) = 4 theta sqrt(D) (kappa_p r_a)^2/(3 a_p^3) nu^(-3/2) above
         the corner nu_c = 4 D / l_d^2; then t* = 4 hbar omega_z ell_L / S
-        sampled at nu = omega_z/(2 pi). Order-of-magnitude model; the
-        details dict carries nu_c and the sampled density.
+        sampled at nu = omega_z/(2 pi), which must be positive
+        (RangeError otherwise). Order-of-magnitude model; the details
+        dict carries nu_c and the sampled density.
 
     Returns a HeatingEstimate; details holds intermediate quantities.
     """
@@ -572,13 +573,6 @@ def heating_time_estimate(model: str, **inputs) -> HeatingEstimate:
             Q = inputs["Q"]
             t = hbar * Q / (k_B * T)
             return HeatingEstimate(t, model, {"Q": Q})
-        if "S_E" in inputs:
-            try:
-                m, q, w = inputs["mass"], inputs["charge"], inputs["omega_z"]
-            except KeyError as k:
-                raise ModelInputError(f"resistive model with S_E missing {k}")
-            t = 4.0 * m * hbar * w / (q**2 * inputs["S_E"])
-            return HeatingEstimate(t, model, {"S_E": inputs["S_E"]})
         if T is None or "r" not in inputs or "omega_z" not in inputs:
             raise ModelInputError("resistive model needs r, T and omega_z")
         ell = inputs.get("ell_L") or _series_inductance(inputs)
@@ -608,6 +602,8 @@ def heating_time_estimate(model: str, **inputs) -> HeatingEstimate:
             w = inputs["omega_z"]
         except KeyError as k:
             raise ModelInputError(f"patch model missing {k}")
+        if w <= 0:
+            raise RangeError("patch model needs omega_z > 0")
         ell = inputs.get("ell_L") or _series_inductance(inputs)
         l_d = inputs.get("l_d", a_p)
         nu = w / (2.0 * math.pi)

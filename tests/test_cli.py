@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -308,6 +309,96 @@ def test_json_non_finite_metric_is_null_and_fails(tmp_path, capsys):
     assert doc["expectations"][0]["status"] == "FAIL"
     assert "not finite" in doc["expectations"][0]["detail"]
     assert doc["result"] == "FAIL"
+
+
+# ---------------------------------------------------------------------------
+# edge values: one number of one bundled scenario at a time
+
+EDGE_INTS = (0, -1, 10**400)
+EDGE_NUMBERS = (0, -1, 1e308, 1e-308)
+EDGE_QUANTITIES = ("0", "-1", "1e300", "1e-300")
+UNIT_TOKEN = {"kg": "u", "C": "e"}      # config spelling of an SI dimension
+
+
+def _edges(f):
+    if f.kind in ("int", "int_list"):
+        return EDGE_INTS
+    if f.kind in ("number", "number_list"):
+        return EDGE_NUMBERS
+    if f.kind == "quantity":
+        unit = UNIT_TOKEN.get(f.unit, f.unit)
+        return tuple(f"{v} {unit}" for v in EDGE_QUANTITIES)
+    return ()
+
+
+def _edge_cases(block, schema, path=()):
+    """(path to one number of the params, edge value) pairs; a list entry's
+    path ends in its index."""
+    for key, v in block.items():
+        f = schema[key]
+        if f.kind == "block":
+            yield from _edge_cases(v, f.schema, path + (key,))
+            continue
+        slots = ([path + (key, i) for i in range(len(v))] if isinstance(v, list)
+                 else [path + (key,)])
+        for slot in slots:
+            for edge in _edges(f):
+                yield slot, edge
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("name", [s["name"] for s in cli.list_scenarios()])
+def test_edge_values_keep_exit_contract(name, tmp_path, capsys):
+    base = _bundled(name)
+    broken = []
+    for slot, edge in _edge_cases(base["params"], cli._HANDLERS[base["kind"]][0]):
+        body = copy.deepcopy(base)
+        block = body["params"]
+        for k in slot[:-1]:
+            block = block[k]
+        block[slot[-1]] = edge
+        where = f"params.{'.'.join(map(str, slot))} = {repr(edge)[:24]}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = cli.main(["run", write_cfg(tmp_path, body), "--json",
+                               "--out", str(tmp_path / "out")])
+            out = capsys.readouterr().out
+            if rc == 0:
+                _strict_json(out)
+            elif rc not in (2, 3):
+                broken.append(f"{where}: exit {rc}")
+        except Exception as err:
+            broken.append(f"{where}: {type(err).__name__}: {err}")
+    assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize("scatters", [1030, 4_194_303])
+def test_cooling_with_many_repump_scatters_exits_0(scatters, tmp_path, capsys,
+                                                   recwarn):
+    body = _bundled("cool.sideband")
+    body["params"]["scatters_per_cycle"] = scatters
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--json",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    _strict_json(capsys.readouterr().out)
+
+
+def test_spectator_over_step_cap_exits_3(tmp_path, capsys):
+    # 1 s of a 100 kHz detuning is 1e5 periods at 60 RK4 steps each
+    body = _bundled("noise.spectator")
+    body["params"]["duration"] = "1 s"
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("physics error: RangeError:")
+    assert "6e+06 RK4 steps" in err
 
 
 def _bounded_fields(schema, prefix=""):

@@ -20,6 +20,7 @@ from scipy import constants as const
 from ionsim.cooling import (
     CoolingConfig,
     CoolingResult,
+    _kick_weights,
     cooling_limit,
     recoil_frequency,
     sideband_cool,
@@ -251,3 +252,28 @@ def test_truncation_warning_when_recoil_hits_ceiling():
     with pytest.warns(TruncationWarning):
         res = sideband_cool(_fock_diag(3, 3), cfg, seed=0)
     assert abs(res.populations.sum() - 1.0) <= 1e-12   # held, not lost
+
+
+@pytest.mark.parametrize("scatters", [1030, 4_194_303])
+def test_kick_weights_fold_the_top_and_sum_to_one(scatters):
+    # n_max = 45: kicks of 46 or more quanta share the last weight
+    w = _kick_weights(scatters, 0.002, 46)
+    assert w.size == 47
+    assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def test_no_recoil_puts_every_kick_at_zero():
+    assert np.array_equal(_kick_weights(4_194_303, 0.0, 46), [1.0])
+
+
+def test_folded_kicks_match_the_matrix_replay():
+    # 40 scatters on a 12-level ladder: the kicks above the top are folded
+    cfg = CoolingConfig(eta=0.1, omega_z=1.0, omega_R=0.05, gamma_rad=0.001,
+                        pulse_strategy="randomized", cycles=20,
+                        scatters_per_cycle=40)
+    init = make_state("thermal", nbar=1.0, n_max=11, eps_trunc=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        res = sideband_cool(init, cfg, seed=3)
+    ref = _replay_oracle(np.real(np.diag(init.rho)), cfg, res.pulse_areas)
+    assert np.abs(ref - res.populations).max() <= 1e-12

@@ -118,10 +118,6 @@ def test_rabi_signal_validation():
         RabiSignal(tau - 0.5, good)              # negative times
     with pytest.raises(ModelInputError):
         RabiSignal(tau, good + 0.6)              # leaves [0, 1]
-    with pytest.raises(DimensionError):
-        RabiSignal(tau, good, variance=np.ones(4))
-    with pytest.raises(ModelInputError):
-        RabiSignal(tau, good, variance=-np.ones(5))
     # tiny numerical excursions are clipped, not rejected
     s = RabiSignal(tau, np.array([0.0, 1.0 + 5e-10, -5e-10, 0.5, 1.0]))
     assert s.P_down.min() >= 0.0 and s.P_down.max() <= 1.0
@@ -389,13 +385,6 @@ def test_inversion_ground_state_identified():
     out = invert_populations(sig, c, n_cut=5, gamma_model=0.005)
     assert out["P"][0] >= 0.999
     assert out["P"][1:].sum() <= 1e-3
-
-
-def test_inversion_fourier_weights_agree_roughly():
-    truth = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
-    sig, c = _round_trip_signal(truth)
-    out = invert_populations(sig, c, n_cut=5, gamma_model=0.005)
-    assert np.abs(out["P_fourier"] - truth).max() <= 0.06
 
 
 def test_inversion_sampling_guards():
@@ -763,9 +752,6 @@ def test_tomography_validation():
     amps[index_of(1, 0, n_max)] = 1.0       # upper spin populated
     with pytest.raises(ModelInputError):
         coherence_tomography(QuantumState(amps, n_max), c)
-    s = _tomo_state(1.0, 0.0)
-    with pytest.raises(ModelInputError):
-        coherence_tomography(s, c, delta_phi=(0.0, math.pi))
     with pytest.raises(ModelInputError):
         coherence_tomography(np.zeros(14), c)
 

@@ -26,31 +26,25 @@ from ionsim.errors import (
     ModelInputError,
     RangeError,
     RegisterSizeError,
-    TimeOrderError,
     TruncationError,
     TruncationWarning,
 )
 from ionsim.pulse_engine import (
     GateReport,
-    PhaseLedger,
     PulseSpec,
     RegisterState,
+    _rotation_block,
     apply_cn_between_ions,
     apply_pulse,
-    cn_between_ions,
     cn_gate_single_pulse,
     cn_gate_three_pulse,
     displacement_drive,
     gate_fidelity,
     noisy_sequence_fidelity,
-    phase_gate,
-    phase_ledger_advance,
     prepare_max_entangled,
     pulse_unitary,
     register_ground,
     register_rotation,
-    transition_class,
-    two_level_rotation,
 )
 from ionsim.quantum_core import (
     SPIN_DOWN,
@@ -80,30 +74,25 @@ def random_state(rng, n_max, top_empty=0):
 
 
 # ------------------------------------------------------ two-level rotation
+# _rotation_block(Omega, Delta, t, phi, dn) at t = theta / (2 Omega) carries
+# the pulse area theta on a pair with matrix element Omega
 
 
 def test_rotation_pi_is_not_gate():
-    U = two_level_rotation(math.pi)
+    U = _rotation_block(1.0, 0.0, math.pi / 2.0, 0.0, 0)
     # |lo> -> -i|up>, |up> -> -i|lo>
     assert np.allclose(U, np.array([[0, -1j], [-1j, 0]]), atol=1e-15)
 
 
 def test_rotation_zero_area_identity():
-    assert np.array_equal(two_level_rotation(0.0), np.eye(2))
-    assert np.array_equal(two_level_rotation(0.0, 1.0, 2.0, 3.0), np.eye(2))
-
-
-def test_rotation_validation():
-    with pytest.raises(RangeError):
-        two_level_rotation(-0.1)
-    with pytest.raises(RangeError):
-        two_level_rotation(1.0, Omega_eff=0.0)
+    assert np.array_equal(_rotation_block(1.0, 0.0, 0.0, 0.0, 0), np.eye(2))
+    assert np.array_equal(_rotation_block(3.0, 2.0, 0.0, 1.0, 0), np.eye(2))
 
 
 def test_rotation_resonant_form():
     theta, phi = 1.3, 0.4
     for dn in (0, 1, 2):
-        U = two_level_rotation(theta, phi, 0.0, 2.0, dn=dn)
+        U = _rotation_block(2.0, 0.0, theta / 4.0, phi, dn)
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         ph = phi + 0.5 * math.pi * dn
         expected = np.array(
@@ -138,7 +127,7 @@ def test_rotation_matches_ode_detuned():
     Delta = 2.0 * Omega
     for dn, theta, phi in [(0, 2.2, 0.0), (1, 1.1, 0.6), (2, 3.9, -1.2)]:
         t_end = theta / (2 * Omega)
-        U = two_level_rotation(theta, phi, Delta, Omega, dn=dn)
+        U = _rotation_block(Omega, Delta, t_end, phi, dn)
         V = _ode_propagator(Omega, Delta, phi, dn, t_end)
         assert np.max(np.abs(U - V)) < 1e-9
         assert unitary_defect(U) < 1e-12
@@ -152,7 +141,7 @@ def test_rotation_unitary_property():
         Delta = rng.normal() * 3.0
         Omega = rng.uniform(0.1, 5.0)
         dn = rng.integers(0, 3)
-        U = two_level_rotation(theta, phi, Delta, Omega, dn=int(dn))
+        U = _rotation_block(Omega, Delta, theta / (2 * Omega), phi, int(dn))
         assert unitary_defect(U) < 1e-12
 
 
@@ -174,13 +163,6 @@ def test_pulse_spec_validation():
     # good ones construct
     PulseSpec("blue", 1.0, c, order=2, reference_pair=(2, 0))
     PulseSpec("red", 1.0, c, order=1, reference_pair=(0, 1))
-
-
-def test_transition_class_labels():
-    c = CouplingParams(1.0, 0.1)
-    assert transition_class(PulseSpec("carrier", 1.0, c)) == "carrier"
-    assert transition_class(PulseSpec("red", 1.0, c, order=2)) == "red2"
-    assert transition_class(PulseSpec("blue", 1.0, c)) == "blue1"
 
 
 # ------------------------------------------------------------- apply_pulse
@@ -328,10 +310,6 @@ def test_apply_pulse_norm_conservation_property():
 def test_apply_pulse_matches_full_space_unitary():
     # apply_pulse acts pair by pair; the dense pulse_unitary is the reference
     rng = np.random.default_rng(31)
-    ledger = PhaseLedger()
-    for klass, seg in (("carrier", (0.0, 1.3, 0.7)), ("red1", (1.3, 2.0, -0.4)),
-                       ("blue2", (2.0, 2.5, 1.1))):
-        phase_ledger_advance(ledger, 0, [seg], klass)
     for n_max in (1, 4, 60):
         for tr, order in (("carrier", 1), ("red", 1), ("blue", 1), ("red", 2), ("blue", 2)):
             if order > n_max:
@@ -341,25 +319,14 @@ def test_apply_pulse_matches_full_space_unitary():
                           CouplingParams(float(rng.uniform(0.5, 2.0)), 0.2),
                           phi=float(rng.uniform(-math.pi, math.pi)),
                           detuning_Delta=float(rng.normal()), order=order)
-            lphase = ledger.phase(0, transition_class(p))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
-                got = apply_pulse(st, p, ledger=ledger)
-                want = apply_unitary(st, pulse_unitary(p, n_max, ledger_phase=lphase))
+                got = apply_pulse(st, p)
+                want = apply_unitary(st, pulse_unitary(p, n_max))
             assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-13
     with pytest.raises(TruncationError):
         apply_pulse(make_state("fock", n_max=4, n=3), PulseSpec("blue", math.pi,
                     CouplingParams(1.0, 0.1)), strict=True)
-
-# -------------------------------------------------------------- phase gate
-
-
-def test_phase_gate_values():
-    assert np.allclose(phase_gate(math.pi), np.diag([1, 1, 1, -1]), atol=1e-15)
-    assert np.array_equal(phase_gate(0.0), np.eye(4))
-    twice = phase_gate(math.pi) @ phase_gate(math.pi)
-    assert np.allclose(twice, np.eye(4), atol=1e-15)
-
 
 # -------------------------------------------------- three-pulse controlled-not
 
@@ -518,27 +485,6 @@ def test_register_rotation_norm_and_bounds():
         register_rotation(reg, 3, 1.0, 0.0)
 
 
-def test_cn_between_ions_truth_table_and_involution():
-    rep = cn_between_ions()
-    assert rep.truth_table == {
-        "dndn0": "dndn0",
-        "dnup0": "dnup0",
-        "updn0": "upup0",
-        "upup0": "updn0",
-    }
-    assert rep.fidelity_vs_ideal == pytest.approx(1.0, abs=1e-12)
-    assert unitary_defect(rep.unitary) < 1e-12
-    # involution on the bus-ground computational subspace
-    U2 = rep.unitary @ rep.unitary
-    nb = 2
-    for col in [0, 2, 4, 6]:
-        e = np.zeros(4 * nb)
-        e[col] = 1.0
-        assert np.max(np.abs(U2 @ e - e)) < 1e-9
-    with pytest.raises(ModelInputError):
-        cn_between_ions(1, 1)
-
-
 def test_apply_cn_register_basis_actions():
     for (sc, st_), (ec, et) in [
         ((0, 0), (0, 0)),
@@ -623,49 +569,6 @@ def test_displacement_truncation_guard():
     st = make_state("fock", n_max=12)
     with pytest.raises(TruncationError):
         displacement_drive(st, 6.0, 1.0)
-
-
-# ------------------------------------------------------------ phase ledger
-
-
-def test_ledger_basic_accumulation():
-    led = PhaseLedger()
-    phase_ledger_advance(led, 0, [(0.0, 2.0, 0.0)])
-    assert led.phase(0) == 0.0
-    phase_ledger_advance(led, 0, [(2.0, 5.0, 1.5)])
-    assert led.phase(0) == pytest.approx(4.5, abs=1e-15)
-    # independent ions and classes
-    phase_ledger_advance(led, 1, [(0.0, 1.0, -2.0)], klass="blue1")
-    assert led.phase(1, "blue1") == pytest.approx(-2.0)
-    assert led.phase(1) == 0.0
-    assert len(led.history) == 3
-
-
-def test_ledger_time_order_guard():
-    led = PhaseLedger()
-    phase_ledger_advance(led, 0, [(0.0, 2.0, 1.0)])
-    with pytest.raises(TimeOrderError):
-        phase_ledger_advance(led, 0, [(1.0, 3.0, 1.0)])
-    with pytest.raises(TimeOrderError):
-        phase_ledger_advance(led, 1, [(1.0, 0.5, 1.0)])
-
-
-def test_ledger_phase_offsets_pulse():
-    # pulse with ledger phase delta == pulse with field phase delta
-    delta = 0.83
-    c = CouplingParams(1.0, 0.0)
-    st = make_state("fock", n_max=2)
-    st = apply_pulse(st, PulseSpec("carrier", math.pi / 2, c))
-
-    led = PhaseLedger()
-    phase_ledger_advance(led, 0, [(0.0, delta, 1.0)])
-    via_ledger = apply_pulse(st, PulseSpec("carrier", math.pi / 2, c), ledger=led, ion=0)
-    via_phi = apply_pulse(st, PulseSpec("carrier", math.pi / 2, c, phi=delta))
-    assert np.max(np.abs(via_ledger.amplitudes - via_phi.amplitudes)) < 1e-12
-    # a different ion's ledger does not touch this pulse
-    other = apply_pulse(st, PulseSpec("carrier", math.pi / 2, c), ledger=led, ion=1)
-    plain = apply_pulse(st, PulseSpec("carrier", math.pi / 2, c))
-    assert np.max(np.abs(other.amplitudes - plain.amplitudes)) < 1e-15
 
 
 # ------------------------------------------------------- noisy sequences
