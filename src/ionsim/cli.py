@@ -84,6 +84,11 @@ TWO_PI = 2.0 * math.pi
 # each hi below divides it by what else sizes that field's largest array.
 _MAX_CELLS = 2**22
 
+# Longest ion chain: every length up to it solves to the 1e-12 force
+# residual. Above it float64 round-off decides: a few lengths from 451 to
+# 499 miss, and from 500 on nearly all do.
+_MAX_CHAIN = 450
+
 
 @dataclass
 class RunResult:
@@ -148,8 +153,8 @@ _TRAP_SCHEMA = {
         "t_end": Field("quantity", unit="s", required=True),
         "points": Field("int", default=400, lo=2, hi=_MAX_CELLS // 3),
     }),
-    "chain": Field("block", schema={           # L x L Hessian
-        "L": Field("int", required=True, lo=2, hi=math.isqrt(_MAX_CELLS)),
+    "chain": Field("block", schema={
+        "L": Field("int", required=True, lo=2, hi=_MAX_CHAIN),
         "s_c": Field("quantity", unit="m", required=True),
     }),
 }
@@ -192,8 +197,7 @@ def _run_trap(p: dict, seed: int) -> RunResult:
 
 
 _MODES_SCHEMA = {
-    # L x L Hessian
-    "L_values": Field("int_list", required=True, lo=1, hi=math.isqrt(_MAX_CELLS)),
+    "L_values": Field("int_list", required=True, lo=1, hi=_MAX_CHAIN),
     "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
     "charge": Field("quantity", unit="C", required=True),
     "mass": Field("quantity", unit="kg", required=True),

@@ -4,9 +4,11 @@ One cooling cycle is a red-sideband pulse followed by a repump. The pulse
 moves population from level n to n-1 with probability sin^2 of the
 accumulated pulse area on that transition; the repump resets the internal
 state and kicks the moved population back up one quantum with probability
-omega_R/omega_z per scattering event. The repump destroys coherence every
-cycle, so diagonal (population-only) dynamics are exact here; a coherent
-single cycle can be composed from pulse_engine when phase matters.
+omega_R/omega_z per scattering event, so the moved population is convolved
+with the binomial distribution of kicks over a cycle's scatters. The
+repump destroys coherence every cycle, so diagonal (population-only)
+dynamics are exact here; a coherent single cycle can be composed from
+pulse_engine when phase matters.
 
 Pulse durations are tracked as areas on the lowest sideband transition
 (area = |Omega_{1,0}| * t, radians), which keeps the model independent of
@@ -184,8 +186,12 @@ def sideband_cool(initial: DensityMatrix, cfg: CoolingConfig, seed=None) -> Cool
     A RegimeWarning fires when eta^2 * <n>_initial exceeds 0.1 (the
     one-quantum recoil picture starts to blur), and a TruncationWarning
     when recoil pushes more than 1e-9 population against the top of the
-    ladder, where it is held rather than lost (population is conserved
-    exactly; the top level is a reflecting boundary).
+    ladder in any one cycle, where it is held rather than lost (population
+    is conserved exactly; the top level is a reflecting boundary).
+
+    Each cycle moves the population with one convolution: the sideband
+    pulse shifts level n to n - 1, and the binomial repump kicks spread
+    that shifted population upward.
     """
     if not isinstance(initial, DensityMatrix):
         raise ModelInputError("sideband_cool starts from a DensityMatrix")
@@ -220,29 +226,20 @@ def sideband_cool(initial: DensityMatrix, cfg: CoolingConfig, seed=None) -> Cool
     p0_traj = [float(p[0])]
     clipped = 0.0
     for a in areas:
-        t_move = np.sin(a * ratio) ** 2          # transfer prob for n = 1..n_max
-        moved = p[1:] * t_move
+        # moved[j] leaves level j + 1 for level j, then kick[k] lifts it to j + k
+        moved = p[1:] * np.sin(a * ratio) ** 2
         p[1:] -= moved
-        landed = np.zeros_like(p)
-        landed[:-1] = moved                       # n -> n-1 before the repump
-        for k, w in enumerate(kick):
-            if k == 0:
-                p += w * landed
-                continue
-            shifted = np.zeros_like(p)
-            shifted[k:] = landed[:-k]
-            # weight shoved past the top is held at the top level
-            tail = landed[-k:].sum()
-            shifted[-1] += tail
-            clipped += w * tail
-            p += w * shifted
+        kicked = np.convolve(moved, kick)
+        p[:n_max] += kicked[:n_max]
+        p[n_max] += kicked[n_max:].sum()          # held at the top level
+        clipped = max(clipped, float(kicked[n_max + 1:].sum()))
         mean_traj.append(float(p @ levels))
         p0_traj.append(float(p[0]))
 
     if clipped > 1e-9:
         warnings.warn(
             f"recoil pressed {clipped:.2e} population against the top of the "
-            "ladder; enlarge n_max for a faithful tail",
+            "ladder in one cycle; enlarge n_max for a faithful tail",
             TruncationWarning,
             stacklevel=2,
         )

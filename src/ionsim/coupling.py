@@ -10,10 +10,9 @@ for addressing crosstalk and spontaneous emission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, gammaln, i0
 
 from .errors import (
@@ -82,15 +81,6 @@ def _laguerre_rows(count: int, alpha: float, x):
     return out
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^alpha(x), for a float or an array x."""
-    if n < 0:
-        raise RangeError("n must be >= 0")
-    if alpha < 0:
-        raise RangeError("alpha must be >= 0")
-    return _laguerre_rows(n + 1, alpha, x)[n]
-
-
 def ladder(dn: int, count: int, c: CouplingParams) -> np.ndarray:
     """Exact matrix elements Omega_{n+dn,n} for n = 0..count-1, in one pass.
 
@@ -147,8 +137,9 @@ def _safe_log(x: float) -> float:
 def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> list[float]:
     """Confinement parameters where a carrier pulse flips exactly one Fock level.
 
-    Solves L_n(eta^2) = r on eta in (0,1), where the target ratio r of
-    the two carrier matrix elements is
+    Takes the real roots x = eta^2 in (0,1) of the polynomial L_n(x) - r
+    (numpy's Laguerre-series roots), where the target ratio r of the two
+    carrier matrix elements is
 
     branch="flip_excited" (default)
         r = (2k+1)/(2m), requiring m > k >= 0: a pulse of m full periods
@@ -176,18 +167,8 @@ def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> lis
     else:
         raise ModelInputError(f"unknown branch '{branch}'")
 
-    def f(x):
-        return laguerre(level_n, 0, x) - r
-
-    xs = np.linspace(0.0, 1.0, 2001)
-    vals = f(xs)
-    roots = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 and a > 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            roots.append(brentq(f, a, b, xtol=1e-15))
-    roots = sorted(math.sqrt(x) for x in roots if 0.0 < x < 1.0)
+    xs = (np.polynomial.Laguerre.basis(level_n) - r).roots()
+    roots = sorted(math.sqrt(x) for x in xs[np.isreal(xs)].real if 0.0 < x < 1.0)
     if not roots:
         raise NoRootError(
             f"L_{level_n}(eta^2) never reaches {r:.6g} for eta in (0,1)"
@@ -213,15 +194,15 @@ class DebyeWallerStats:
     mean_factor: float
     rms_exact: float
     rms_small_eta: float
-    _var_sum: float = field(repr=False, default=0.0)
 
     def prob_within(self, eps: float) -> float:
-        """Probability that the fractional deviation is below eps (Gaussian model)."""
+        """Probability that the fractional deviation is below eps (Gaussian
+        model with standard deviation rms_small_eta)."""
         if eps < 0:
             raise RangeError("eps must be >= 0")
-        if self._var_sum == 0.0:
+        if self.rms_small_eta == 0.0:
             return 1.0
-        return float(erf(eps / math.sqrt(2.0 * self._var_sum)))
+        return float(erf(eps / (math.sqrt(2.0) * self.rms_small_eta)))
 
 
 def debye_waller_stats(e: ModeEnsemble) -> DebyeWallerStats:
@@ -238,12 +219,10 @@ def debye_waller_stats(e: ModeEnsemble) -> DebyeWallerStats:
     bessel_args = 2.0 * x * np.sqrt(nbars * (nbars + 1.0))
     prod = float(np.prod(i0(bessel_args)))
     rms_exact = math.sqrt(max(prod - 1.0, 0.0))
-    var_sum = float(np.sum(x**2 * nbars * (nbars + 1.0)))
     return DebyeWallerStats(
         mean_factor=mean,
         rms_exact=rms_exact,
-        rms_small_eta=math.sqrt(var_sum),
-        _var_sum=var_sum,
+        rms_small_eta=math.sqrt(float(np.sum(x**2 * nbars * (nbars + 1.0)))),
     )
 
 

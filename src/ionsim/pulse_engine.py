@@ -305,23 +305,19 @@ def cn_gate_three_pulse(aux_coupling: CouplingParams, phi_a: float = 0.0) -> Gat
     (checked to 1e-12) and the report is restricted to the computational
     basis dn0, up0, dn1, up1.
 
-    The carrier here is the symbolic-layer rotation, identical on both bus
-    levels. The pair (aux,1) <-> (up,2) sits above the bus cap and idles;
-    it is never reached from the computational subspace.
+    Each carrier is the resonant _rotation_block of the physical layer,
+    identical on both bus levels. The pair (aux,1) <-> (up,2) sits above
+    the bus cap and idles; it is never reached from the computational
+    subspace.
     """
     if rabi_frequency(1, 0, aux_coupling) == 0.0:
         raise RangeError("auxiliary sideband matrix element vanishes")
 
     # internal levels: 0 = dn, 1 = up, 2 = aux; index = level*2 + bus n
     def carrier(phi):
-        c = s = math.sqrt(0.5)
+        blk = _rotation_block(1.0, 0.0, 0.25 * math.pi, phi, 0)  # pi/2 pulse
         M = np.eye(6, dtype=complex)
-        for n in (0, 1):
-            lo, up = 0 * 2 + n, 1 * 2 + n
-            M[up, up] = c
-            M[up, lo] = -1j * cmath.exp(1j * phi) * s
-            M[lo, up] = -1j * cmath.exp(-1j * phi) * s
-            M[lo, lo] = c
+        M[:4, :4] = np.kron(blk[::-1, ::-1], np.eye(2))  # (up, dn) -> (dn, up)
         return M
 
     sign_flip = np.eye(6, dtype=complex)
@@ -451,43 +447,39 @@ def register_rotation(reg: RegisterState, ion: int, theta: float, phi: float) ->
     Matrix convention (basis down, up):
         [[cos(theta/2),            -i e^{+i phi} sin(theta/2)],
          [-i e^{-i phi} sin(theta/2), cos(theta/2)          ]]
-    Note the mirrored phi sign relative to the physical-layer propagator.
+    This is the resonant _rotation_block at field phase -phi, read in the
+    (down, up) order: the register mirrors the physical layer's phi sign.
     """
     _check_ion(reg, ion)
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
+    U = _rotation_block(1.0, 0.0, 0.5 * theta, -phi, 0)[::-1, ::-1]
     b = np.arange(2**reg.L)
     lo = b[(b >> ion) & 1 == 0]
     hi = lo | (1 << ion)
     out = reg.amps.copy()
     a_lo = reg.amps[lo, :]
     a_hi = reg.amps[hi, :]
-    out[lo, :] = c * a_lo + (-1j * cmath.exp(1j * phi) * s) * a_hi
-    out[hi, :] = (-1j * cmath.exp(-1j * phi) * s) * a_lo + c * a_hi
+    out[lo, :] = U[0, 0] * a_lo + U[0, 1] * a_hi
+    out[hi, :] = U[1, 0] * a_lo + U[1, 1] * a_hi
     return RegisterState(reg.L, reg.n_bus, out)
 
 
-def _red_pi_map_in(amps: np.ndarray, lo, hi, n_bus: int) -> np.ndarray:
+def _red_pi_map_in(amps: np.ndarray, lo, hi) -> np.ndarray:
     """Red-sideband pi pulse on one ion at phase 0: |up,n> -> -|dn,n+1>."""
     out = np.zeros_like(amps)
     out[lo, 0] = amps[lo, 0]  # (dn,0) has no partner
-    for n in range(1, n_bus + 1):
-        out[hi, n - 1] = amps[lo, n]
-    for n in range(n_bus):
-        out[lo, n + 1] = -amps[hi, n]
-    out[hi, n_bus] = amps[hi, n_bus]  # partner above the bus cap
+    out[hi, :-1] = amps[lo, 1:]
+    out[lo, 1:] = -amps[hi, :-1]
+    out[hi, -1] = amps[hi, -1]  # partner above the bus cap
     return out
 
 
-def _red_pi_map_out(amps: np.ndarray, lo, hi, n_bus: int) -> np.ndarray:
+def _red_pi_map_out(amps: np.ndarray, lo, hi) -> np.ndarray:
     """Exact inverse of _red_pi_map_in."""
     out = np.zeros_like(amps)
     out[lo, 0] = amps[lo, 0]
-    for n in range(1, n_bus + 1):
-        out[lo, n] = amps[hi, n - 1]
-    for n in range(n_bus):
-        out[hi, n] = -amps[lo, n + 1]
-    out[hi, n_bus] = amps[hi, n_bus]
+    out[lo, 1:] = amps[hi, :-1]
+    out[hi, :-1] = -amps[lo, 1:]
+    out[hi, -1] = amps[hi, -1]
     return out
 
 
@@ -521,9 +513,9 @@ def apply_cn_between_ions(reg: RegisterState, c: int, t: int) -> RegisterState:
     c_hi = c_lo | (1 << c)
     t_lo = b[(b >> t) & 1 == 0]
     t_hi = t_lo | (1 << t)
-    a = _red_pi_map_in(reg.amps, c_lo, c_hi, reg.n_bus)
+    a = _red_pi_map_in(reg.amps, c_lo, c_hi)
     a = _bus_cn_on_spin(a, t_lo, t_hi)
-    a = _red_pi_map_out(a, c_lo, c_hi, reg.n_bus)
+    a = _red_pi_map_out(a, c_lo, c_hi)
     return RegisterState(reg.L, reg.n_bus, a)
 
 

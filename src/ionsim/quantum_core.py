@@ -281,25 +281,6 @@ def overlap(a: QuantumState, b: QuantumState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def populations(state) -> dict:
-    """Basis populations.
-
-    QuantumState -> {(spin_label, n): |c|^2}; DensityMatrix -> {n: rho_nn}.
-    """
-    if isinstance(state, QuantumState):
-        N = state.n_max + 1
-        p = np.abs(state.amplitudes) ** 2
-        out = {}
-        for s, label in ((0, SPIN_DOWN), (1, SPIN_UP)):
-            for n in range(N):
-                out[(label, n)] = float(p[s * N + n])
-        return out
-    if isinstance(state, DensityMatrix):
-        d = np.diag(state.rho).real
-        return {n: float(d[n]) for n in range(state.n_max + 1)}
-    raise ModelInputError(f"cannot read populations of {type(state).__name__}")
-
-
 def detection_false_negative(n_d: float) -> float:
     """Probability of detecting zero photons from a bright state.
 

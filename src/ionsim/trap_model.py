@@ -299,13 +299,6 @@ def mathieu_trajectory(
 # chain geometry and axial modes
 
 
-def _chain_energy(u: np.ndarray) -> float:
-    # dimensionless: (1/2) sum u^2 + sum_{i<j} 1/|ui-uj|
-    du = u[:, None] - u[None, :]
-    iu = np.triu_indices(len(u), k=1)
-    return 0.5 * float(np.dot(u, u)) + float(np.sum(1.0 / np.abs(du[iu])))
-
-
 def _chain_gradient(u: np.ndarray) -> np.ndarray:
     du = u[:, None] - u[None, :]
     np.fill_diagonal(du, np.inf)
@@ -321,57 +314,38 @@ def _chain_hessian(u: np.ndarray) -> np.ndarray:
     return H
 
 
-def _solve_chain(L: int, max_iter: int = 200, tol: float = 1e-12):
-    """Damped Newton solve of the dimensionless force balance.
+def _solve_chain(L: int, tol: float = 1e-12) -> np.ndarray:
+    """Centred dimensionless equilibrium positions of an L-ion chain.
 
-    Returns (positions, energy_trace). The trace records the energy after
-    each step accepted by the backtracking line search and decreases
-    strictly. Once the decrease falls below float resolution, full Newton
-    refinement steps that at least halve the force residual are taken
-    without a trace entry.
+    scipy's hybrid Powell solver (``root``, method "hybr") finds the zero
+    of the force from a uniform guess near the fitted gap, with the exact
+    Hessian as Jacobian. At most three full Newton steps follow, each kept
+    only if it lowers the largest force: hybr alone stops short of the
+    residual check at some lengths (L = 344).
+
+    Raises ConvergenceError if the ions end out of order or the largest
+    force stays above tol * max(1, max|u|).
     """
     if L == 1:
-        return np.zeros(1), [0.0]
+        return np.zeros(1)
+    from scipy.optimize import root
+
     half = 0.5 * (L - 1)
-    u = (np.arange(L) - half) * 2.0 * L**-0.56  # uniform guess near the fitted gap
-    trace = [_chain_energy(u)]
-    for _ in range(max_iter):
-        g = _chain_gradient(u)
-        gnorm = float(np.max(np.abs(g)))
-        scale = max(1.0, float(np.max(np.abs(u))))
-        if gnorm <= tol * scale:
-            return u - u.mean(), trace
-        step = np.linalg.solve(_chain_hessian(u), -g)
-        t_bt = 1.0
-        e0 = trace[-1]
-        accepted = False
-        while t_bt > 1e-12:
-            u_new = u + t_bt * step
-            # reject steps that reorder ions or collide them
-            if np.all(np.diff(u_new) > 0):
-                e1 = _chain_energy(u_new)
-                if e1 < e0:
-                    accepted = True
-                    break
-            t_bt *= 0.5
-        if accepted:
-            u = u_new
-            trace.append(e1)
-            continue
-        u_new = u + step
-        if np.all(np.diff(u_new) > 0) and float(
-            np.max(np.abs(_chain_gradient(u_new)))
-        ) <= 0.5 * gnorm:
-            u = u_new
-            continue
-        raise ConvergenceError("chain Newton line search stalled")
-    g = _chain_gradient(u)
-    scale = max(1.0, float(np.max(np.abs(u))))
-    if float(np.max(np.abs(g))) <= tol * scale:
-        return u - u.mean(), trace
-    raise ConvergenceError(
-        f"chain equilibrium residual {float(np.max(np.abs(g))):.2e} after {max_iter} iterations"
-    )
+    u0 = (np.arange(L) - half) * 2.0 * L**-0.56  # uniform guess near the fitted gap
+    u = root(_chain_gradient, u0, jac=_chain_hessian, method="hybr",
+             options={"xtol": 1e-15}).x
+    force = float(np.max(np.abs(_chain_gradient(u))))
+    for _ in range(3):
+        u_new = u - np.linalg.solve(_chain_hessian(u), _chain_gradient(u))
+        f_new = float(np.max(np.abs(_chain_gradient(u_new))))
+        if not f_new < force:
+            break
+        u, force = u_new, f_new
+    if not np.all(np.diff(u) > 0):
+        raise ConvergenceError("chain solve left the ions out of order")
+    if not force <= tol * max(1.0, float(np.max(np.abs(u)))):
+        raise ConvergenceError(f"chain equilibrium residual {force:.2e}")
+    return u - u.mean()
 
 
 def length_scale(omega_z: float, charge: float, mass: float) -> float:
@@ -387,19 +361,20 @@ def chain_equilibrium(
     """Equilibrium positions of L identical ions in a harmonic axial well.
 
     Solves the force balance (harmonic restoring force against mutual
-    Coulomb repulsion) by damped Newton iteration on dimensionless
-    positions. Exact small-chain gaps: 2^(1/3) s for two ions and
-    (5/4)^(1/3) s for three.
+    Coulomb repulsion) on dimensionless positions with scipy's hybrid
+    Powell root finder, polished by at most three Newton steps. Exact
+    small-chain gaps: 2^(1/3) s for two ions and (5/4)^(1/3) s for three.
 
     Raises
     ------
     ConvergenceError
-        If the scaled force residual stays above 1e-12.
+        If the ions end out of order or the scaled force residual stays
+        above 1e-12.
     """
     if L < 1:
         raise RangeError("L must be >= 1")
     s = length_scale(omega_z, charge, mass)
-    u, _ = _solve_chain(L)
+    u = _solve_chain(L)
     return ChainGeometry(
         L=L, positions=u * s, scale_s=s, s_min=2.0 * s * L**-0.56
     )
@@ -443,19 +418,18 @@ def critical_anisotropy(
 
     The exact critical omega_r/omega_z is the square root of the largest
     eigenvalue of the transverse Coulomb-softening matrix at equilibrium
-    (exactly 1 for two ions and sqrt(12/5) for three). The three published
-    power-law fits are returned alongside. If a central spacing s_c is
-    given (with charge and mass), the force-balance radial bound
-    omega_r^2 = (7/(8 pi eps0)) zeta(3) q^2/(m s_c^3) is evaluated too.
+    (exactly 1 for two ions and sqrt(12/5) for three). That matrix is
+    (H - 1)/2, with H the dimensionless axial Hessian: the Coulomb term
+    softens the transverse curvature by half as much as it stiffens the
+    axial one. The three published power-law fits are returned alongside.
+    If a central spacing s_c is given (with charge and mass), the
+    force-balance radial bound omega_r^2 = (7/(8 pi eps0)) zeta(3)
+    q^2/(m s_c^3) is evaluated too.
     """
     if L < 2:
         raise RangeError("critical anisotropy needs L >= 2")
-    u, _ = _solve_chain(L)
-    du = u[:, None] - u[None, :]
-    np.fill_diagonal(du, np.inf)
-    off = -1.0 / np.abs(du) ** 3
-    B = off.copy()
-    np.fill_diagonal(B, -off.sum(axis=1))
+    u = _solve_chain(L)
+    B = 0.5 * (_chain_hessian(u) - np.eye(L))
     ratio = math.sqrt(float(np.linalg.eigvalsh(B)[-1]))
     bound = None
     if s_c is not None:

@@ -8,6 +8,7 @@ subprocess test confirms the module is runnable as `python -m ionsim.cli`.
 import copy
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from ionsim._config import (
     validate_block,
 )
 from ionsim._svg import line_plot
-from ionsim.errors import ConfigError
+from ionsim.errors import ConfigError, TruncationWarning
 
 from golden.make_golden import LEDGER, mismatches, parse_csv
 
@@ -388,6 +389,10 @@ def test_cooling_with_many_repump_scatters_exits_0(scatters, tmp_path, capsys,
                    "--out", str(tmp_path / "out")])
     assert rc == 0
     _strict_json(capsys.readouterr().out)
+    # the clipped mass is reported per cycle, so it is a share of the whole
+    clipped = [float(re.search(r"pressed (\S+) population", str(w.message))[1])
+               for w in recwarn if issubclass(w.category, TruncationWarning)]
+    assert all(0.0 < m <= 1.0 for m in clipped)
 
 
 def test_spectator_over_step_cap_exits_3(tmp_path, capsys):

@@ -37,7 +37,6 @@ from ionsim.trap_model import (
     mathieu_trajectory,
     micromotion_suppression,
     secular_frequencies,
-    _solve_chain,
 )
 
 U_KG = 1.66053906660e-27
@@ -221,11 +220,27 @@ def test_ten_ion_central_gap_near_fitted_law():
     assert abs(central / 4.0e-6 - 1.0) < 0.15
 
 
-def test_chain_energy_strictly_decreases_along_newton_path():
-    for L in (3, 7, 12):
-        _, trace = _solve_chain(L)
-        diffs = np.diff(np.asarray(trace))
-        assert np.all(diffs < 0.0)
+@pytest.mark.parametrize("L", [91, 254, 298, 344, 450])
+def test_chain_solve_meets_the_residual_where_bare_solvers_miss(L):
+    # without the Newton steps, hybr misses the check at L = 344, and lm
+    # at its default tolerances at 91, 254-298 and 450
+    from ionsim.trap_model import _chain_gradient, _solve_chain
+
+    u = _solve_chain(L)
+    assert np.all(np.diff(u) > 0)
+    assert np.max(np.abs(_chain_gradient(u))) <= 1e-12 * max(1.0, np.max(np.abs(u)))
+
+
+def test_chain_solve_rejects_a_reordered_root(monkeypatch):
+    import scipy.optimize
+    from ionsim.trap_model import _solve_chain
+
+    def reversed_guess(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=x0[::-1])
+
+    monkeypatch.setattr(scipy.optimize, "root", reversed_guess)
+    with pytest.raises(ConvergenceError, match="out of order"):
+        _solve_chain(5)
 
 
 def test_chain_residual_is_tiny():
