@@ -16,9 +16,10 @@ way in, so handlers always see rad/s; rate-type fields (unit Hz, not
 angular) pass through as plain 1/s. Numbers must be finite: NaN,
 Infinity and values that overflow (such as "1e400 MHz") are rejected.
 Integers must lie within their field's lo..hi bounds, and a schema sets
-hi so that no array the field sizes can outgrow memory. Every validation
-failure raises ConfigError with the dotted path of the offending key in
-the message.
+hi so that no array the field sizes can outgrow memory. A key that only
+some choices of a string field read is rejected under the others. Every
+validation failure raises ConfigError with the dotted path of the
+offending key in the message.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class Field:
     angular: bool = False        # multiply by 2*pi (cyclic -> angular frequency)
     required: bool = False
     default: Any = None
-    choices: tuple = ()
+    choices: tuple | dict = ()   # allowed strings, or a dict of each one's own keys
     schema: dict | None = None   # sub-schema for kind="block"
     lo: int | None = None        # inclusive bounds for kinds int and int_list
     hi: int | None = None
@@ -149,7 +150,9 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
 
     Unknown keys are rejected; missing required keys are reported; the
     returned dict carries SI floats for quantities and defaults for
-    absent optional keys.
+    absent optional keys. A key that a choice field's dict lists (the
+    field comes first) belongs only to the choices that list it: under
+    another choice it is rejected if given and defaulted if not.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
@@ -157,8 +160,17 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
         if key not in schema:
             raise ConfigError(f"{path}.{key}: unknown key")
     out = {}
+    scoped = {}                  # key -> the choice field whose dict lists it
     for key, f in schema.items():
         here = f"{path}.{key}"
+        name = scoped.get(key)
+        if name is not None and key not in schema[name].choices[out[name]]:
+            if key in block:
+                raise ConfigError(f"{here}: not a parameter of {name} {out[name]!r}")
+            out[key] = f.default
+            continue
+        if isinstance(f.choices, dict):
+            scoped.update((k, key) for keys in f.choices.values() for k in keys)
         if key not in block:
             if f.required:
                 raise ConfigError(f"{here}: required key missing")

@@ -5,8 +5,9 @@ bundled scenario), dispatches to the library, and writes a CSV table, an
 optional SVG plot per ``plot`` block, and a manifest recording inputs,
 versions, and pass/fail against the file's declared expectations.
 ``ionsim list`` enumerates the bundled scenarios. Each kind's schema
-declares every key, unit and integer bound; its handler only maps the
-validated params to library calls and the results to columns and metrics.
+declares every key, unit and integer bound, and which choice of its op,
+type, strategy or mode reads a key; its handler only maps the validated
+params to library calls and the results to columns and metrics.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 physics-model error raised by the library or failed
@@ -109,8 +110,6 @@ def _require(params: dict, keys, op: str) -> None:
 def _diag_density(init: dict, path: str = "params.initial") -> DensityMatrix:
     n_max = init["n_max"]
     if init["type"] == "thermal":
-        if init["nbar"] is None:
-            raise ConfigError(f"{path}.nbar: required for a thermal state")
         return make_state("thermal", n_max=n_max, nbar=init["nbar"])
     n = init["n"]
     if n > n_max:
@@ -226,13 +225,14 @@ def _run_modes(p: dict, seed: int) -> RunResult:
 
 
 _RABI_SCHEMA = {
-    "op": Field("str", required=True, choices=("ladder", "decay")),
+    "op": Field("str", required=True, choices={
+        "ladder": ("n_top",), "decay": ("populations", "gamma0", "tau")}),
     "Omega": Field("quantity", unit="Hz", angular=True, required=True),
     "eta": Field("number", required=True),
     "n_top": Field("int", default=10, lo=0, hi=_MAX_CELLS // 4 - 1),
-    "populations": Field("number_list"),
-    "gamma0": Field("quantity", unit="Hz"),         # base decay rate, 1/s
-    "tau": Field("block", schema=_TAU_SCHEMA),
+    "populations": Field("number_list", required=True),
+    "gamma0": Field("quantity", unit="Hz", required=True),   # base decay rate, 1/s
+    "tau": Field("block", required=True, schema=_TAU_SCHEMA),
 }
 
 
@@ -255,7 +255,6 @@ def _run_rabi(p: dict, seed: int) -> RunResult:
             "blue0_over_carrier0": rows[0][3] / rows[0][1],
         }
         return RunResult(cols, rows, metrics)
-    _require(p, ("populations", "gamma0", "tau"), "decay")
     tau = _tau_grid(p["tau"], "params.tau")
     sig = rabi_decay_signal(p["populations"], p["gamma0"], c, tau)
     cols = [("tau", "s"), ("P_down", "")]
@@ -269,9 +268,12 @@ def _run_rabi(p: dict, seed: int) -> RunResult:
 
 
 _GATE_SCHEMA = {
-    "op": Field("str", required=True,
-                choices=("cn_single", "cn_three_pulse", "entangle",
-                         "noisy_sequence")),
+    "op": Field("str", required=True, choices={
+        "cn_single": ("k", "m", "eta", "phi"),
+        "cn_three_pulse": ("aux_eta", "phi_a"),
+        "entangle": ("L", "n_bus"),
+        "noisy_sequence": ("M_values", "theta", "zeta_rms", "phi_rms",
+                           "systematic", "trials")}),
     "k": Field("int", default=0),
     "m": Field("int", default=1),
     "eta": Field("number"),              # default: solved magic value
@@ -348,8 +350,9 @@ def _run_gate(p: dict, seed: int) -> RunResult:
 
 
 _INITIAL_SCHEMA = {
-    "type": Field("str", required=True, choices=("thermal", "fock")),
-    "nbar": Field("number"),
+    "type": Field("str", required=True,
+                  choices={"thermal": ("nbar",), "fock": ("n",)}),
+    "nbar": Field("number", required=True),
     "n": Field("int", default=0, lo=0),
     # (n_max + 1) x (n_max + 1) density matrix
     "n_max": Field("int", required=True, lo=1, hi=math.isqrt(_MAX_CELLS) - 1),
@@ -360,11 +363,11 @@ _COOL_SCHEMA = {
     "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
     "omega_R": Field("quantity", unit="Hz", angular=True, required=True),
     "gamma_rad": Field("quantity", unit="Hz", angular=True, required=True),
-    "strategy": Field("str", default="randomized",
-                      choices=("fixed", "randomized", "schedule")),
+    "strategy": Field("str", default="randomized", choices={
+        "fixed": ("pulse_area",), "randomized": (), "schedule": ("schedule",)}),
     "cycles": Field("int", default=50, hi=_MAX_CELLS // 3 - 1),
     "pulse_area": Field("number"),
-    "schedule": Field("number_list"),
+    "schedule": Field("number_list", required=True),
     "scatters_per_cycle": Field("int", default=2, hi=_MAX_CELLS - 1),
     "initial": Field("block", required=True, schema=_INITIAL_SCHEMA),
 }
@@ -393,14 +396,16 @@ def _run_cool(p: dict, seed: int) -> RunResult:
 
 
 _HEAT_SCHEMA = {
-    "op": Field("str", required=True, choices=("master_equation", "estimators")),
-    # master_equation
-    "gamma": Field("quantity", unit="Hz"),          # relaxation rate, 1/s
-    "nbar": Field("number"),
-    "initial": Field("block", schema=_INITIAL_SCHEMA),
-    "t_end": Field("quantity", unit="s"),
+    "op": Field("str", required=True, choices={
+        "master_equation": ("gamma", "nbar", "initial", "t_end", "points"),
+        "estimators": ("mass", "charge", "resistive", "stray_field", "patch",
+                       "collisions")}),
+    "gamma": Field("quantity", unit="Hz", required=True),   # relaxation rate, 1/s
+    "nbar": Field("number", required=True),
+    "initial": Field("block", required=True, schema=_INITIAL_SCHEMA),
+    "t_end": Field("quantity", unit="s", required=True),
     "points": Field("int", default=60, lo=2, hi=_MAX_CELLS // 5),
-    # estimators (shared ion properties)
+    # ion properties shared by the estimator blocks
     "mass": Field("quantity", unit="kg"),
     "charge": Field("quantity", unit="C"),
     "resistive": Field("block", schema={
@@ -409,7 +414,7 @@ _HEAT_SCHEMA = {
         "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
         "ell_L": Field("number"),                   # equivalent inductance, H
         "d": Field("quantity", unit="m"),
-        "alpha": Field("number", default=0.8),
+        "alpha": Field("number"),
     }),
     "stray_field": Field("block", schema={
         "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
@@ -437,7 +442,6 @@ _HEAT_SCHEMA = {
 
 def _run_heat(p: dict, seed: int) -> RunResult:
     if p["op"] == "master_equation":
-        _require(p, ("gamma", "nbar", "initial", "t_end"), "master_equation")
         b = BathParams(gamma=p["gamma"], nbar=p["nbar"])
         grid = np.linspace(0.0, p["t_end"], p["points"])
         states = master_equation_trajectory(_diag_density(p["initial"]), b,
@@ -461,14 +465,14 @@ def _run_heat(p: dict, seed: int) -> RunResult:
     cols = [("estimate", ""), ("value", ""), ("unit", "")]
     rows, metrics = [], {}
     if p["resistive"] is not None:
-        rr = p["resistive"]
-        kw = {"r": rr["r"], "T": rr["T"], "omega_z": rr["omega_z"]}
-        if rr["ell_L"] is not None:
-            kw["ell_L"] = rr["ell_L"]
-        elif rr["d"] is not None:
+        kw = {k: v for k, v in p["resistive"].items() if v is not None}
+        if "ell_L" in kw:
+            for k in ("d", "alpha"):
+                if k in kw:
+                    raise ConfigError(f"params.resistive.{k}: conflicts with ell_L")
+        elif "d" in kw:
             _require(p, ("mass", "charge"), "estimators (resistive geometry)")
-            kw.update(mass=p["mass"], d=rr["d"], charge=p["charge"],
-                      alpha=rr["alpha"])
+            kw.update(mass=p["mass"], charge=p["charge"])
         else:
             raise ConfigError("params.resistive: needs ell_L or d")
         est = heating_time_estimate("resistive", **kw)
@@ -521,24 +525,25 @@ def _run_heat(p: dict, seed: int) -> RunResult:
 
 
 _NOISE_SCHEMA = {
-    "op": Field("str", required=True,
-                choices=("debye_waller", "envelopes", "spectator")),
-    # debye_waller
-    "mode_count": Field("int", lo=1, hi=_MAX_CELLS),
-    "eta": Field("number"),
-    "nbar": Field("number"),
-    "epsilon": Field("number"),
+    "op": Field("str", required=True, choices={
+        "debye_waller": ("mode_count", "eta", "nbar", "epsilon",
+                         "epsilon_values"),
+        "envelopes": ("Omega", "slow_rms", "fast_ratio", "omega_amp", "tau"),
+        "spectator": ("Omega", "Omega_prime", "Delta", "duration",
+                      "smooth_duration", "ramp_width")}),
+    "mode_count": Field("int", required=True, lo=1, hi=_MAX_CELLS),
+    "eta": Field("number", required=True),
+    "nbar": Field("number", required=True),
+    "epsilon": Field("number", required=True),
     "epsilon_values": Field("number_list"),
-    # envelopes
-    "Omega": Field("quantity", unit="Hz", angular=True),
-    "slow_rms": Field("quantity", unit="Hz", angular=True),
-    "fast_ratio": Field("number"),
-    "omega_amp": Field("quantity", unit="Hz", angular=True),
-    "tau": Field("block", schema=_TAU_SCHEMA),
-    # spectator
-    "Omega_prime": Field("quantity", unit="Hz", angular=True),
-    "Delta": Field("quantity", unit="Hz", angular=True),
-    "duration": Field("quantity", unit="s"),
+    "Omega": Field("quantity", unit="Hz", angular=True, required=True),
+    "slow_rms": Field("quantity", unit="Hz", angular=True, required=True),
+    "fast_ratio": Field("number", required=True),
+    "omega_amp": Field("quantity", unit="Hz", angular=True, required=True),
+    "tau": Field("block", required=True, schema=_TAU_SCHEMA),
+    "Omega_prime": Field("quantity", unit="Hz", angular=True, required=True),
+    "Delta": Field("quantity", unit="Hz", angular=True, required=True),
+    "duration": Field("quantity", unit="s", required=True),
     "smooth_duration": Field("quantity", unit="s"),   # default: same as duration
     "ramp_width": Field("quantity", unit="s"),
 }
@@ -547,7 +552,6 @@ _NOISE_SCHEMA = {
 def _run_noise(p: dict, seed: int) -> RunResult:
     op = p["op"]
     if op == "debye_waller":
-        _require(p, ("mode_count", "eta", "nbar", "epsilon"), "debye_waller")
         ens = ModeEnsemble(etas=[p["eta"]] * p["mode_count"],
                            nbars=[p["nbar"]] * p["mode_count"])
         st = debye_waller_stats(ens)
@@ -564,8 +568,6 @@ def _run_noise(p: dict, seed: int) -> RunResult:
         }
         return RunResult(cols, rows, metrics)
     if op == "envelopes":
-        _require(p, ("Omega", "slow_rms", "fast_ratio", "omega_amp", "tau"),
-                 "envelopes")
         tau = _tau_grid(p["tau"], "params.tau")
         gauss = slow_amplitude_noise_envelope("gaussian", p["slow_rms"], tau,
                                               p["Omega"])
@@ -593,7 +595,6 @@ def _run_noise(p: dict, seed: int) -> RunResult:
         }
         return RunResult(cols, rows, metrics)
     # spectator
-    _require(p, ("Omega", "Omega_prime", "Delta", "duration"), "spectator")
     smooth_T = (p["smooth_duration"] if p["smooth_duration"] is not None
                 else p["duration"])
     tau_r = p["ramp_width"] if p["ramp_width"] is not None else smooth_T / 4.0
@@ -619,6 +620,8 @@ def _run_noise(p: dict, seed: int) -> RunResult:
 
 
 _CLOCK_SCHEMA = {
+    "mode": Field("str", default="constrained_K3",
+                  choices={"constrained_K3": ("K3",), "constrained_K1": ()}),
     "L_values": Field("int_list", required=True),
     "n_values": Field("number_list", required=True),
     "epsilon_values": Field("number_list", default=(0.5, 1.0)),
@@ -626,8 +629,6 @@ _CLOCK_SCHEMA = {
     "K2": Field("number", default=2.0),
     "K3": Field("number", default=10.0),
     "tau": Field("quantity", unit="s", required=True),
-    "mode": Field("str", default="constrained_K3",
-                  choices=("constrained_K3", "constrained_K1")),
 }
 
 
@@ -655,16 +656,18 @@ def _run_clock(p: dict, seed: int) -> RunResult:
 
 
 _TOMO_SCHEMA = {
-    "op": Field("str", required=True, choices=("populations", "coherence")),
-    "populations": Field("number_list"),
-    "Omega": Field("quantity", unit="Hz", angular=True),
-    "eta": Field("number"),
-    "gamma0": Field("quantity", unit="Hz"),         # base decay rate, 1/s
-    "tau": Field("block", schema=_TAU_SCHEMA),
+    "op": Field("str", required=True, choices={
+        "populations": ("populations", "gamma0", "tau", "n_cut", "noise_sigma"),
+        "coherence": ("state",)}),
+    "populations": Field("number_list", required=True),
+    "Omega": Field("quantity", unit="Hz", angular=True, required=True),
+    "eta": Field("number", required=True),
+    "gamma0": Field("quantity", unit="Hz", required=True),   # base decay rate, 1/s
+    "tau": Field("block", required=True, schema=_TAU_SCHEMA),
     # inversion basis: tau.points x (n_cut + 1)
-    "n_cut": Field("int", hi=_MAX_CELLS // _TAU_SCHEMA["points"].hi - 1),
+    "n_cut": Field("int", required=True, hi=_MAX_CELLS // _TAU_SCHEMA["points"].hi - 1),
     "noise_sigma": Field("number", default=0.0),
-    "state": Field("str", choices=("plus", "fock0", "plus_i")),
+    "state": Field("str", required=True, choices=("plus", "fock0", "plus_i")),
 }
 
 _TOMO_STATES = {
@@ -676,8 +679,6 @@ _TOMO_STATES = {
 
 def _run_tomography(p: dict, seed: int) -> RunResult:
     if p["op"] == "populations":
-        _require(p, ("populations", "Omega", "eta", "gamma0", "tau", "n_cut"),
-                 "populations")
         c = CouplingParams(Omega=p["Omega"], eta=p["eta"])
         tau = _tau_grid(p["tau"], "params.tau")
         sig = rabi_decay_signal(p["populations"], p["gamma0"], c, tau)
@@ -706,7 +707,6 @@ def _run_tomography(p: dict, seed: int) -> RunResult:
         }
         return RunResult(cols, rows, metrics)
     # coherence
-    _require(p, ("state", "Omega", "eta"), "coherence")
     c = CouplingParams(Omega=p["Omega"], eta=p["eta"])
     c0, c1 = _TOMO_STATES[p["state"]]
     n_max = 4

@@ -34,7 +34,7 @@ from .errors import (
     RangeError,
     TruncationError,
 )
-from .quantum_core import SPIN_UP, DensityMatrix, QuantumState
+from .quantum_core import DEFAULT_EPS_TRUNC, SPIN_UP, DensityMatrix, QuantumState
 from .coupling import CouplingParams, ladder
 from .pulse_engine import PulseSpec, apply_pulse
 
@@ -145,7 +145,7 @@ def _band_generator(k: int, N: int, gamma: float, nbar: float) -> np.ndarray:
 
 
 def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
-                               steps: int, eps_top: float = 1e-8):
+                               steps: int):
     """Relax a density matrix against a thermal reservoir, yielding the
     states at t_j = j * t_end / steps, j = 0..steps, one at a time.
 
@@ -154,7 +154,7 @@ def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
     nonzero; the upper band is its conjugate, so every state is exactly
     Hermitian. Memory holds the propagators but does not grow with steps,
     and a single step holds one propagator at a time. TruncationError fires
-    when a state's top Fock level holds more than eps_top (the truncated
+    when a state's top Fock level holds more than 1e-8 (the truncated
     equations leak trace through it at rate gamma*nbar*(n_max+1)*rho[top])
     or its trace drifts more than 1e-9 from one; raise n_max for either.
     Every yielded matrix re-validates hermiticity and positivity.
@@ -191,9 +191,9 @@ def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
                 r[lo[k:], lo[:-k]] = band
                 r[lo[:-k], lo[k:]] = band.conj()
         top = float(r[n_max, n_max].real)
-        if top > eps_top:
+        if top > DEFAULT_EPS_TRUNC:
             raise TruncationError(f"top-level population {top:.2e} exceeds "
-                                  f"guard {eps_top:.1e}; raise n_max")
+                                  f"guard {DEFAULT_EPS_TRUNC:.1e}; raise n_max")
         drift = abs(float(np.trace(r).real) - 1.0)
         if drift > 1e-9:
             raise TruncationError(f"trace drifted by {drift:.2e} (> 1e-9): population "
@@ -206,7 +206,6 @@ def master_equation_evolve(
     b: BathParams,
     t: float,
     dt: float | None = None,
-    eps_top: float = 1e-8,
 ) -> DensityMatrix:
     """Relax a motional density matrix against a thermal reservoir for t:
     the one-step view of master_equation_trajectory, with its guards. dt
@@ -214,7 +213,7 @@ def master_equation_evolve(
     """
     if dt is not None and dt <= 0:
         raise RangeError("step dt must be > 0")
-    *_, out = master_equation_trajectory(rho, b, t, 1, eps_top)
+    *_, out = master_equation_trajectory(rho, b, t, 1)
     return out
 
 

@@ -339,7 +339,7 @@ def cn_gate_three_pulse(aux_coupling: CouplingParams, phi_a: float = 0.0) -> Gat
     )
 
 
-def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0, Omega: float = 1.0) -> GateReport:
+def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0) -> GateReport:
     """Controlled-not via one carrier pulse at a magic Lamb-Dicke value.
 
     At eta^2 = 1 - (2k+1)/(2m) the n=0 and n=1 carrier elements satisfy
@@ -362,7 +362,7 @@ def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0, Omega: fl
     p = PulseSpec(
         transition="carrier",
         theta=(2 * k + 1) * math.pi,
-        coupling=CouplingParams(Omega, eta),
+        coupling=CouplingParams(1.0, eta),
         phi=-phi - math.pi,
         reference_pair=(1, 1),
     )
@@ -399,21 +399,14 @@ class RegisterState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def overlap(self, other: "RegisterState") -> complex:
-        if self.amps.shape != other.amps.shape:
-            raise ModelInputError("register shapes differ")
-        return complex(np.vdot(self.amps, other.amps))
-
     def bus_excited_weight(self) -> float:
         return float(np.sum(np.abs(self.amps[:, 1:]) ** 2))
 
     def reduced_spin_purity(self, j: int) -> float:
         """Purity of ion j's reduced density matrix."""
-        _check_ion(self, j)
-        b = np.arange(2**self.L)
-        lo = b[(b >> j) & 1 == 0]
+        lo, hi = _ion_rows(self, j)
         A0 = self.amps[lo, :].ravel()
-        A1 = self.amps[lo | (1 << j), :].ravel()
+        A1 = self.amps[hi, :].ravel()
         r00 = np.vdot(A0, A0)
         r11 = np.vdot(A1, A1)
         r01 = np.vdot(A1, A0)
@@ -423,17 +416,21 @@ class RegisterState:
         return RegisterState(self.L, self.n_bus, self.amps.copy())
 
 
-def _check_ion(reg: RegisterState, j: int) -> None:
+def _ion_rows(reg: RegisterState, j: int):
+    """Register rows with ion j down, and the same rows with it up."""
     if not 0 <= j < reg.L:
         raise RangeError(f"ion index {j} outside register of {reg.L}")
+    b = np.arange(2**reg.L)
+    lo = b[(b >> j) & 1 == 0]
+    return lo, lo | (1 << j)
 
 
-def register_ground(L: int, n_bus: int = 1, cap: int = DEFAULT_REGISTER_CAP) -> RegisterState:
+def register_ground(L: int, n_bus: int = 1) -> RegisterState:
     """All spins down, bus in |0>."""
     if L < 1:
         raise RangeError("register needs at least one ion")
-    if L > cap:
-        raise RegisterSizeError(f"register of {L} ions exceeds the cap of {cap}")
+    if L > DEFAULT_REGISTER_CAP:
+        raise RegisterSizeError(f"register of {L} ions exceeds the cap of {DEFAULT_REGISTER_CAP}")
     if n_bus < 1:
         raise RangeError("bus mode needs n_bus >= 1")
     amps = np.zeros((2**L, n_bus + 1), dtype=complex)
@@ -450,11 +447,8 @@ def register_rotation(reg: RegisterState, ion: int, theta: float, phi: float) ->
     This is the resonant _rotation_block at field phase -phi, read in the
     (down, up) order: the register mirrors the physical layer's phi sign.
     """
-    _check_ion(reg, ion)
+    lo, hi = _ion_rows(reg, ion)
     U = _rotation_block(1.0, 0.0, 0.5 * theta, -phi, 0)[::-1, ::-1]
-    b = np.arange(2**reg.L)
-    lo = b[(b >> ion) & 1 == 0]
-    hi = lo | (1 << ion)
     out = reg.amps.copy()
     a_lo = reg.amps[lo, :]
     a_hi = reg.amps[hi, :]
@@ -501,27 +495,20 @@ def apply_cn_between_ions(reg: RegisterState, c: int, t: int) -> RegisterState:
     of the map-in. The composite is the textbook controlled-not with no
     residual phases and restores the bus to |0>.
     """
-    _check_ion(reg, c)
-    _check_ion(reg, t)
+    c_lo, c_hi = _ion_rows(reg, c)
+    t_lo, t_hi = _ion_rows(reg, t)
     if c == t:
         raise ModelInputError("control and target must differ")
     w = reg.bus_excited_weight()
     if w > 1e-12:
         raise BusNotGroundError(f"bus mode carries weight {w:.2e} outside |0>")
-    b = np.arange(2**reg.L)
-    c_lo = b[(b >> c) & 1 == 0]
-    c_hi = c_lo | (1 << c)
-    t_lo = b[(b >> t) & 1 == 0]
-    t_hi = t_lo | (1 << t)
     a = _red_pi_map_in(reg.amps, c_lo, c_hi)
     a = _bus_cn_on_spin(a, t_lo, t_hi)
     a = _red_pi_map_out(a, c_lo, c_hi)
     return RegisterState(reg.L, reg.n_bus, a)
 
 
-def prepare_max_entangled(
-    L: int, cap: int = DEFAULT_REGISTER_CAP, n_bus: int = 1
-) -> RegisterState:
+def prepare_max_entangled(L: int, n_bus: int = 1) -> RegisterState:
     """Drive the register to (|dn...dn> + |up...up>)/sqrt(2) x |0>.
 
     A pi/2 rotation on ion 0 (field phase -pi/2, which in the rotation
@@ -530,7 +517,7 @@ def prepare_max_entangled(
     """
     if L < 2:
         raise RangeError("need at least two ions to entangle")
-    reg = register_ground(L, n_bus=n_bus, cap=cap)
+    reg = register_ground(L, n_bus=n_bus)
     reg = register_rotation(reg, 0, 0.5 * math.pi, -0.5 * math.pi)
     for i in range(1, L):
         reg = apply_cn_between_ions(reg, 0, i)
@@ -578,7 +565,6 @@ def noisy_sequence_fidelity(
     error_model: dict,
     trials: int,
     base_seed: int = 0,
-    initial: QuantumState | None = None,
     n_max: int = 8,
 ) -> dict:
     """Monte Carlo fidelity of a pulse sequence under area and phase errors.
@@ -609,7 +595,7 @@ def noisy_sequence_fidelity(
     if zeta_rms < 0 or phi_rms < 0:
         raise RangeError("error magnitudes must be >= 0")
 
-    psi0 = initial if initial is not None else make_state("fock", n_max=n_max)
+    psi0 = make_state("fock", n_max=n_max)
 
     def run(pulses):
         psi = psi0

@@ -434,20 +434,48 @@ BOUND_CASES = sorted(
 )
 
 
-def _field(kind, path):
+def _schema_at(kind, blocks):
     schema = cli._HANDLERS[kind][0]
-    *blocks, key = path.split(".")
     for b in blocks:
         schema = schema[b].schema
-    return schema[key]
+    return schema
+
+
+def _field(kind, path):
+    *blocks, key = path.split(".")
+    return _schema_at(kind, blocks)[key]
+
+
+def _scope(schema, key):
+    """The choice field of schema whose choices list key, and those choices."""
+    for name, f in schema.items():
+        if isinstance(f.choices, dict):
+            readers = [c for c, keys in f.choices.items() if key in keys]
+            if readers:
+                return name, readers
+    return None, []
+
+
+def _sample(f):
+    """A value that field f's own checks accept."""
+    low = max(f.lo or 1, 1)
+    return {"quantity": f"1 {UNIT_TOKEN.get(f.unit, f.unit)}", "number": 1.0,
+            "int": low, "int_list": [low], "number_list": [1.0], "bool": True,
+            "str": next(iter(f.choices), ""), "block": {}}[f.kind]
 
 
 # optional blocks that no bundled scenario holds, with their required keys
 EXTRA_BLOCKS = {"trap": {"trajectory": {"amplitude": "1 um", "t_end": "1 us"}}}
 
 
-def _body_holding(kind, blocks):
-    """A bundled scenario of this kind whose params hold the nested blocks."""
+def _body_at(kind, blocks, name=None, readers=()):
+    """A bundled scenario of this kind whose params hold the nested blocks,
+    and the innermost of them, with its choice field name at one of
+    readers. A scenario already at one comes first; otherwise the first
+    one is switched to the first of readers, keeping only the keys that
+    choice reads and filling in those it requires."""
+    schema = _schema_at(kind, blocks)
+    held = None
     for s in cli.list_scenarios():
         if s["kind"] != kind:
             continue
@@ -459,8 +487,21 @@ def _body_holding(kind, blocks):
             if not isinstance(block, dict):
                 break
         else:
-            return body, block
-    pytest.fail(f"no bundled {kind} scenario holds params.{'.'.join(blocks)}")
+            if name is None or block.get(name, schema[name].default) in readers:
+                return body, block
+            held = held or (body, block)
+    if held is None:
+        pytest.fail(f"no bundled {kind} scenario holds params.{'.'.join(blocks)}")
+    body, block = held
+    choices = schema[name].choices
+    reads = choices[readers[0]]
+    for keys in choices.values():
+        for k in set(keys) - set(reads):
+            block.pop(k, None)
+    block[name] = readers[0]
+    block.update({k: _sample(schema[k]) for k in reads
+                  if schema[k].required and k not in block})
+    return body, block
 
 
 @pytest.mark.parametrize("kind,path,side", BOUND_CASES,
@@ -471,7 +512,7 @@ def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
     bound = getattr(f, side)
     assert bound is not None, f"params.{path} of {kind} has no {side} bound"
     *blocks, key = path.split(".")
-    body, block = _body_holding(kind, blocks)
+    body, block = _body_at(kind, blocks, *_scope(_schema_at(kind, blocks), key))
     value = bound + 1 if side == "hi" else bound - 1
     is_list = f.kind == "int_list"
     block[key] = [value] if is_list else value
@@ -487,6 +528,78 @@ def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
     assert f"params.{path}{'[0]' if is_list else ''}: must be" in err
     assert peak < 2**20          # a capped field's arrays start at tens of MiB
     assert not (tmp_path / "out").exists()
+
+
+def _schemas(schema, prefix=""):
+    """(dotted prefix, schema) for a schema and every block schema in it."""
+    yield prefix, schema
+    for key, f in schema.items():
+        if f.kind == "block":
+            yield from _schemas(f.schema, f"{prefix}{key}.")
+
+
+def _choice_pairs(schema):
+    """(dotted choice field, choice, key) for each key that some choice of
+    the field reads and this choice does not."""
+    for prefix, s in _schemas(schema):
+        for name, f in s.items():
+            if isinstance(f.choices, dict):
+                listed = {k for keys in f.choices.values() for k in keys}
+                for choice, keys in f.choices.items():
+                    for key in sorted(listed - set(keys)):
+                        yield f"{prefix}{name}", choice, key
+
+
+CHOICE_PAIRS = [(kind, *pair) for kind, (schema, _) in cli._HANDLERS.items()
+                for pair in _choice_pairs(schema)]
+
+
+def test_choice_fields_scope_later_keys_of_their_schema():
+    for kind, (schema, _) in cli._HANDLERS.items():
+        for prefix, s in _schemas(schema):
+            order = list(s)
+            for name, f in s.items():
+                if not isinstance(f.choices, dict):
+                    continue
+                where = f"{kind} params.{prefix}{name}"
+                assert f.required or f.default in f.choices, where
+                for key in {k for keys in f.choices.values() for k in keys}:
+                    assert key in s, f"{where} lists unknown key {key}"
+                    assert order.index(key) > order.index(name), \
+                        f"{where} comes after the key {key} it scopes"
+    # the (choice, key) pairs the schemas reject; scoping a key moves it
+    assert len(CHOICE_PAIRS) == 101
+
+
+@pytest.mark.parametrize("kind,field,choice,key", CHOICE_PAIRS,
+                         ids=[":".join(pair) for pair in CHOICE_PAIRS])
+def test_key_of_another_choice_exits_2(kind, field, choice, key, tmp_path,
+                                       capsys):
+    *blocks, name = field.split(".")
+    body, block = _body_at(kind, blocks, name, [choice])
+    block[key] = _sample(_schema_at(kind, blocks)[key])
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    path = ".".join(blocks + [key])
+    assert f"params.{path}: not a parameter of {name} {choice!r}" in err
+
+
+def test_schedule_strategy_without_schedule_exits_2(tmp_path, capsys):
+    body = _bundled("cool.sideband")
+    body["params"]["strategy"] = "schedule"
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "params.schedule: required key missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("d", "10 um"), ("alpha", 0.8)])
+def test_resistive_geometry_with_ell_L_exits_2(key, value, tmp_path, capsys):
+    body = _bundled("heat.estimators")
+    body["params"]["resistive"][key] = value
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"params.resistive.{key}: conflicts with ell_L" in capsys.readouterr().err
 
 
 def test_run_physics_error_exits_3(tmp_path, capsys):
