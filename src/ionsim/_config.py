@@ -1,5 +1,10 @@
 """Experiment-file loading: unit-tagged quantities and schema checks.
 
+One walker, validate_block, checks the whole file. The envelope is a
+schema like any kind's params: expect and plot are lists of objects with
+their own schemas, a plot's y is one column name or a list of them, and
+params only has to be an object until its kind's schema checks it.
+
 Experiment configs are JSON objects. Every physical quantity is a string
 of the form "<number> <unit>" ("10 MHz", "3 um", "9.012 u"); bare numbers
 are only accepted where a field is genuinely dimensionless. The unit
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from scipy.constants import atomic_mass, elementary_charge
@@ -108,13 +113,15 @@ def parse_quantity(value: Any, dimension: str, path: str) -> float:
 class Field:
     """One schema slot: value kind, unit handling, default."""
 
-    kind: str                    # quantity|number|int|str|bool|number_list|int_list|block
+    # quantity|number|int|str|bool|number_list|int_list|block, str_list (a
+    # bare string is a list of one) or block_list (objects matching schema)
+    kind: str
     unit: str = ""               # dimension label for quantity kinds
     angular: bool = False        # multiply by 2*pi (cyclic -> angular frequency)
     required: bool = False
     default: Any = None
     choices: tuple | dict = ()   # allowed strings, or a dict of each one's own keys
-    schema: dict | None = None   # sub-schema for kind="block"
+    schema: dict | None = None   # of a block or block_list; None takes any object
     lo: int | None = None        # inclusive bounds for kinds int and int_list
     hi: int | None = None
 
@@ -145,24 +152,30 @@ def _want_int(v: Any, path: str, lo: int | None = None, hi: int | None = None) -
     return v
 
 
-def validate_block(block: Any, schema: dict, path: str) -> dict:
+def validate_block(block: Any, schema: dict | None, path: str) -> dict:
     """Check a config mapping against a schema, converting units.
 
-    Unknown keys are rejected; missing required keys are reported; the
-    returned dict carries SI floats for quantities and defaults for
-    absent optional keys. A key that a choice field's dict lists (the
-    field comes first) belongs only to the choices that list it: under
-    another choice it is rejected if given and defaulted if not.
+    It checks the whole file: the envelope at path "" (whose keys print
+    without a leading dot), then the kind's params. Unknown keys are
+    rejected; missing required keys are reported; the returned dict
+    carries SI floats for quantities and defaults for absent optional
+    keys. A key that a choice field's dict lists (the field comes first)
+    belongs only to the choices that list it: under another choice it is
+    rejected if given and defaulted if not. With schema None the block
+    only has to be an object and is returned as given.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
+    if schema is None:
+        return block
+    prefix = f"{path}." if path else ""
     for key in block:
         if key not in schema:
-            raise ConfigError(f"{path}.{key}: unknown key")
+            raise ConfigError(f"{prefix}{key}: unknown key")
     out = {}
     scoped = {}                  # key -> the choice field whose dict lists it
     for key, f in schema.items():
-        here = f"{path}.{key}"
+        here = prefix + key
         name = scoped.get(key)
         if name is not None and key not in schema[name].choices[out[name]]:
             if key in block:
@@ -189,7 +202,7 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
                 raise ConfigError(f"{here}: expected a string, got {v!r}")
             if f.choices and v not in f.choices:
                 raise ConfigError(
-                    f"{here}: {v!r} is not one of {list(f.choices)}"
+                    f"{here}: must be one of {list(f.choices)}, got {v!r}"
                 )
             out[key] = v
         elif f.kind == "bool":
@@ -205,8 +218,20 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
                 raise ConfigError(f"{here}: expected a nonempty list of integers")
             out[key] = [_want_int(x, f"{here}[{i}]", f.lo, f.hi)
                         for i, x in enumerate(v)]
+        elif f.kind == "str_list":
+            v = [v] if isinstance(v, str) else v
+            if not (isinstance(v, list) and v and all(isinstance(s, str) for s in v)):
+                raise ConfigError(
+                    f"{here}: expected a string or a nonempty list of strings")
+            out[key] = v
         elif f.kind == "block":
-            out[key] = validate_block(v, f.schema or {}, here)
+            out[key] = validate_block(v, f.schema, here)
+        elif f.kind == "block_list":
+            if not isinstance(v, list):
+                raise ConfigError(
+                    f"{here}: expected a list of objects, got {type(v).__name__}")
+            out[key] = [validate_block(x, f.schema, f"{here}[{i}]")
+                        for i, x in enumerate(v)]
         else:  # pragma: no cover - schema author error
             raise ConfigError(f"{here}: schema declares unknown kind {f.kind!r}")
     return out
@@ -216,80 +241,46 @@ def validate_block(block: Any, schema: dict, path: str) -> dict:
 # envelope: the fields shared by every experiment file
 
 
-_EXPECT_KEYS = {"metric", "value", "rtol", "atol", "min", "max"}
+_EXPECTATION_SCHEMA = {
+    "metric": Field("str", required=True),
+    "value": Field("number"),
+    "rtol": Field("number"),
+    "atol": Field("number"),
+    "min": Field("number"),
+    "max": Field("number"),
+}
 
+_PLOT_SCHEMA = {
+    "x": Field("str", required=True),
+    "y": Field("str_list", required=True),
+    "title": Field("str", default=""),
+    "file": Field("str"),
+}
 
-def _validate_expect(items: Any, path: str) -> list[dict]:
-    if not isinstance(items, list):
-        raise ConfigError(f"{path}: expected a list of expectation objects")
-    out = []
-    for i, item in enumerate(items):
-        here = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{here}: expected an object")
-        for key in item:
-            if key not in _EXPECT_KEYS:
-                raise ConfigError(f"{here}.{key}: unknown key")
-        if not isinstance(item.get("metric"), str):
-            raise ConfigError(f"{here}.metric: required string missing")
-        modes = [k for k in ("value", "min", "max") if k in item]
-        if len(modes) != 1:
-            raise ConfigError(
-                f"{here}: needs exactly one of value/min/max, found {modes}"
-            )
-        for num_key in ("value", "rtol", "atol", "min", "max"):
-            if num_key in item:
-                _want_number(item[num_key], f"{here}.{num_key}")
-        if modes[0] != "value" and ("rtol" in item or "atol" in item):
-            raise ConfigError(f"{here}: rtol/atol only combine with value")
-        out.append(dict(item))
-    return out
-
-
-_PLOT_KEYS = {"x", "y", "title", "file"}
-
-
-def _validate_plots(spec: Any, path: str) -> list[dict]:
-    items = spec if isinstance(spec, list) else [spec]
-    out = []
-    for i, item in enumerate(items):
-        here = f"{path}[{i}]" if isinstance(spec, list) else path
-        if not isinstance(item, dict):
-            raise ConfigError(f"{here}: expected a plot object")
-        for key in item:
-            if key not in _PLOT_KEYS:
-                raise ConfigError(f"{here}.{key}: unknown key")
-        if not isinstance(item.get("x"), str):
-            raise ConfigError(f"{here}.x: required string missing")
-        y = item.get("y")
-        if isinstance(y, str):
-            y = [y]
-        if not (isinstance(y, list) and y and all(isinstance(s, str) for s in y)):
-            raise ConfigError(f"{here}.y: expected a column name or list of names")
-        for opt in ("title", "file"):
-            if opt in item and not isinstance(item[opt], str):
-                raise ConfigError(f"{here}.{opt}: expected a string")
-        out.append({"x": item["x"], "y": y,
-                    "title": item.get("title", ""), "file": item.get("file")})
-    return out
-
-
-_TOP_KEYS = {"kind", "description", "seed", "params", "expect", "plot",
-             "output", "strict"}
+_ENVELOPE_SCHEMA = {
+    "kind": Field("str", required=True, choices=KINDS),
+    "params": Field("block", required=True),    # the kind's schema checks it later
+    "description": Field("str", default=""),
+    "seed": Field("int", default=0, lo=0),
+    "expect": Field("block_list", schema=_EXPECTATION_SCHEMA),
+    "plot": Field("block_list", schema=_PLOT_SCHEMA),
+    "output": Field("str"),
+    "strict": Field("bool", default=False),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed envelope of one experiment file; params stay kind-specific."""
+    """Parsed envelope (defaults from _ENVELOPE_SCHEMA); params stay kind-specific."""
 
     kind: str
     params: dict
-    description: str = ""
-    seed: int = 0
-    expect: list = field(default_factory=list)
-    plots: list = field(default_factory=list)
-    output: str | None = None
-    strict: bool = False
+    description: str
+    seed: int
+    expect: list
+    plots: list
+    output: str | None
+    strict: bool
 
 
 def parse_config_text(text: str, origin: str = "config") -> ExperimentConfig:
@@ -299,32 +290,19 @@ def parse_config_text(text: str, origin: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{origin}: not valid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{origin}: top level must be an object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"{key}: unknown key")
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ConfigError(f"kind: must be one of {list(KINDS)}, got {kind!r}")
-    params = raw.get("params")
-    if not isinstance(params, dict):
-        raise ConfigError("params: required object missing")
-    cfg = ExperimentConfig(kind=kind, params=params)
-    if "description" in raw:
-        if not isinstance(raw["description"], str):
-            raise ConfigError("description: expected a string")
-        cfg.description = raw["description"]
-    if "seed" in raw:
-        cfg.seed = _want_int(raw["seed"], "seed", lo=0)
-    if "expect" in raw:
-        cfg.expect = _validate_expect(raw["expect"], "expect")
-    if "plot" in raw:
-        cfg.plots = _validate_plots(raw["plot"], "plot")
-    if "output" in raw:
-        if not isinstance(raw["output"], str) or not raw["output"]:
-            raise ConfigError("output: expected a nonempty string")
-        cfg.output = raw["output"]
-    if "strict" in raw:
-        if not isinstance(raw["strict"], bool):
-            raise ConfigError("strict: expected true/false")
-        cfg.strict = raw["strict"]
-    return cfg
+    if isinstance(raw.get("plot"), dict):       # one plot object is a list of one
+        raw["plot"] = [raw["plot"]]
+    v = validate_block(raw, _ENVELOPE_SCHEMA, "")
+    if v["output"] == "":
+        raise ConfigError("output: expected a nonempty string")
+    v["expect"] = v["expect"] or []
+    v["plots"] = v.pop("plot") or []
+    for i, e in enumerate(v["expect"]):
+        modes = [k for k in ("value", "min", "max") if e[k] is not None]
+        if len(modes) != 1:
+            raise ConfigError(
+                f"expect[{i}]: needs exactly one of value/min/max, found {modes}"
+            )
+        if modes[0] != "value" and (e["rtol"] is not None or e["atol"] is not None):
+            raise ConfigError(f"expect[{i}]: rtol/atol only combine with value")
+    return ExperimentConfig(**v)

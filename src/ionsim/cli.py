@@ -521,6 +521,12 @@ def _run_heat(p: dict, seed: int) -> RunResult:
             "params: estimators op needs at least one of "
             "resistive/stray_field/patch/collisions"
         )
+    d = p["resistive"]["d"] if p["resistive"] is not None else None
+    if p["stray_field"] is None and p["collisions"] is None and d is None:
+        for k in ("mass", "charge"):
+            if p[k] is not None:
+                raise ConfigError(f"params.{k}: read only by stray_field, "
+                                  "collisions or a resistive block with d")
     return RunResult(cols, rows, metrics)
 
 
@@ -781,16 +787,16 @@ def evaluate_expectations(expect: list, metrics: dict) -> list[dict]:
             out.append({"metric": name, "status": "FAIL",
                         "detail": f"value {v!r} is not finite"})
             continue
-        if "value" in e:
+        if e["value"] is not None:
             target = e["value"]
-            rtol = e.get("rtol", 0.0)
-            atol = e.get("atol", 0.0)
+            rtol = e["rtol"] or 0.0
+            atol = e["atol"] or 0.0
             if rtol == 0.0 and atol == 0.0:
                 rtol = 1e-9
             ok = abs(v - target) <= atol + rtol * abs(target)
             detail = (f"value {v!r} vs {target!r} "
                       f"(rtol={rtol:g}, atol={atol:g})")
-        elif "min" in e:
+        elif e["min"] is not None:
             ok = v >= e["min"]
             detail = f"value {v!r} >= {e['min']!r}"
         else:
@@ -853,8 +859,8 @@ def _plot_files(name: str, cfg: ExperimentConfig, result: RunResult) -> list:
             raise ConfigError(f"{key}: column {label!r} is not numeric") from None
 
     for i, pl in enumerate(cfg.plots):
-        x = numeric_column(pl["x"], "plot.x")
-        series = [(yname, numeric_column(yname, "plot.y"))
+        x = numeric_column(pl["x"], f"plot[{i}].x")
+        series = [(yname, numeric_column(yname, f"plot[{i}].y"))
                   for yname in pl["y"]]
         xu = col_units.get(pl["x"], "")
         xlabel = f"{pl['x']} [{xu}]" if xu else pl["x"]

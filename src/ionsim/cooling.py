@@ -33,14 +33,6 @@ from .errors import (
 )
 from .quantum_core import DensityMatrix
 
-__all__ = [
-    "CoolingConfig",
-    "CoolingResult",
-    "cooling_limit",
-    "recoil_frequency",
-    "sideband_cool",
-]
-
 _STRATEGIES = ("fixed", "randomized", "schedule")
 
 

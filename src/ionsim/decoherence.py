@@ -38,23 +38,6 @@ from .quantum_core import DEFAULT_EPS_TRUNC, SPIN_UP, DensityMatrix, QuantumStat
 from .coupling import CouplingParams, ladder
 from .pulse_engine import PulseSpec, apply_pulse
 
-__all__ = [
-    "BathParams",
-    "RabiSignal",
-    "master_equation_trajectory",
-    "master_equation_evolve",
-    "mean_n_evolution",
-    "rabi_decay_signal",
-    "invert_populations",
-    "slow_amplitude_noise_envelope",
-    "fast_amplitude_noise_visibility",
-    "stark_phase_noise_ratio",
-    "spectator_leakage",
-    "bfield_modulation",
-    "coherence_tomography",
-    "radiative_decay_rate",
-]
-
 
 # ---------------------------------------------------------------------------
 # domain types

@@ -21,13 +21,6 @@ from .errors import ModelInputError, RangeError
 from .pulse_engine import PulseSpec, apply_pulse
 from .quantum_core import QuantumState, apply_unitary
 
-__all__ = [
-    "ClockParams",
-    "clock_lock_analysis",
-    "projection_noise_stability",
-    "ramsey_probability",
-]
-
 
 def ramsey_probability(
     omega_offset: float,
@@ -138,19 +131,21 @@ def clock_lock_analysis(p: ClockParams, mode: str = "constrained_K3") -> dict:
 
     reporting the K3 this forces. The two modes agree whenever K3 is
     chosen to make K1 = 1.
+
+    Both delta_omega forms are the projection-noise law
+    L^-eps / sqrt(T_R tau) at the mode's own T_R, so it is computed
+    once from that law (without projection_noise_stability's
+    tau >= 10 T_R check, which an optimum T_R need not meet).
     """
     n = p.n_exp
     eps = p.epsilon
     if mode == "constrained_K3":
         t_r = (math.pi / (p.C * p.K3 * p.L ** (2.0 * eps - 1.0))) ** (1.0 / (n + 1.0))
-        dw = ((p.C * p.K3 / math.pi) ** (1.0 / (2.0 * (n + 1.0)))
-              * p.L ** (-(n * eps + 0.5) / (n + 1.0)) / math.sqrt(p.tau))
-        k1 = math.pi * p.K2 ** (n + 0.5) * p.L ** (1.0 - eps) / p.K3
-        return {"T_R": t_r, "delta_omega": dw, "K1": k1}
-    if mode == "constrained_K1":
+        margin = {"K1": math.pi * p.K2 ** (n + 0.5) * p.L ** (1.0 - eps) / p.K3}
+    elif mode == "constrained_K1":
         t_r = (p.L ** (-eps) / (p.C * p.K2 ** (n + 0.5))) ** (1.0 / (n + 1.0))
-        dw = ((p.C * p.K2 ** (n + 0.5)) ** (1.0 / (2.0 * (n + 1.0)))
-              * p.L ** (-eps * (2.0 * n + 1.0) / (2.0 * n + 2.0)) / math.sqrt(p.tau))
-        k3 = math.pi * p.K2 ** (n + 0.5) * p.L ** (1.0 - eps)
-        return {"T_R": t_r, "delta_omega": dw, "K3": k3}
-    raise ModelInputError(f"unknown analysis mode {mode!r}")
+        margin = {"K3": math.pi * p.K2 ** (n + 0.5) * p.L ** (1.0 - eps)}
+    else:
+        raise ModelInputError(f"unknown analysis mode {mode!r}")
+    dw = float(p.L) ** (-eps) / math.sqrt(t_r * p.tau)
+    return {"T_R": t_r, "delta_omega": dw, **margin}

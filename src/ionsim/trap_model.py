@@ -28,30 +28,6 @@ from .errors import (
     RangeError,
 )
 
-__all__ = [
-    "TrapParams",
-    "MathieuCoeffs",
-    "ChainGeometry",
-    "AxialModes",
-    "CriticalAnisotropy",
-    "MicromotionFactors",
-    "HeatingEstimate",
-    "CollisionRates",
-    "mathieu_beta",
-    "secular_frequencies",
-    "endcap_voltage_for_frequency",
-    "mathieu_trajectory",
-    "chain_equilibrium",
-    "axial_normal_modes",
-    "critical_anisotropy",
-    "frequency_sensitivities",
-    "micromotion_suppression",
-    "heating_time_estimate",
-    "collision_rates",
-    "cross_mode_growth",
-    "exchange_time",
-]
-
 
 # ---------------------------------------------------------------------------
 # parameter containers

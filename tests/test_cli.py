@@ -212,6 +212,29 @@ def write_cfg(tmp_path, obj, name="cfg.json"):
     return str(p)
 
 
+ENVELOPE_ERRORS = [
+    ({"seed": -1}, "seed"),
+    ({"strict": "yes"}, "strict"),
+    ({"output": ""}, "output"),
+    ({"description": 3}, "description"),
+    ({"expect": {"metric": "x", "value": 1.0}}, "expect"),
+    ({"expect": [{"value": 1.0}]}, "expect[0].metric"),
+    ({"expect": [{"metric": "x", "value": math.nan}]}, "expect[0].value"),
+    ({"plot": [{"x": "tau", "y": []}]}, "plot[0].y"),
+    ({"plot": [{"x": "tau", "y": "P_down", "title": 3}]}, "plot[0].title"),
+    ({"params": [1]}, "params"),
+]
+
+
+@pytest.mark.parametrize("change,key", ENVELOPE_ERRORS,
+                         ids=[key for _, key in ENVELOPE_ERRORS])
+def test_envelope_error_exits_2_naming_its_key(change, key, tmp_path, capsys):
+    body = {"kind": "rabi", "params": {}, **change}
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
 def test_run_malformed_unit_exits_2_with_key_path(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "kind": "rabi",
@@ -602,6 +625,23 @@ def test_resistive_geometry_with_ell_L_exits_2(key, value, tmp_path, capsys):
     assert f"params.resistive.{key}: conflicts with ell_L" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,block,key", [
+    ({"mass": "1e6 u", "charge": "50 e"}, "patch", "mass"),
+    ({"mass": "9.0 u"}, "resistive", "mass"),
+    ({"charge": "1 e"}, "patch", "charge"),
+], ids=["mass_and_charge_beside_patch", "mass_beside_resistive_ell_L",
+        "charge_beside_patch"])
+def test_estimators_ion_key_without_a_reader_exits_2(extra, block, key,
+                                                     tmp_path, capsys):
+    # only stray_field, collisions and a resistive block with d read them
+    given = _bundled("heat.estimators")["params"][block]
+    body = {"kind": "heat", "params": {"op": "estimators", **extra, block: given}}
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"params.{key}: read only by stray_field, collisions or a "
+            "resistive block with d") in capsys.readouterr().err
+
+
 def test_run_physics_error_exits_3(tmp_path, capsys):
     # ladder truncated far too low for this bath: trace guard must trip
     cfg = write_cfg(tmp_path, {
@@ -718,6 +758,15 @@ def test_plot_against_missing_column_exits_2(tmp_path, capsys):
     rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "no column named" in capsys.readouterr().err
+
+
+def test_plot_column_error_names_its_plot(tmp_path, capsys):
+    body = dict(LADDER)
+    body["plot"] = [{"x": "n", "y": "n"}, {"x": "n", "y": "no_such_column"}]
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: plot[1].y: no column named 'no_such_column'")
 
 
 def test_run_json_summary(tmp_path, capsys):
