@@ -16,10 +16,10 @@ _W, _H = 720, 460
 _ML, _MR, _MT, _MB = 74, 20, 42, 56     # margins around the data window
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
+def _nice_step(span: float) -> float:
     if span <= 0 or not math.isfinite(span):
         return 1.0
-    raw = span / target_ticks
+    raw = span / 6.0                 # about six ticks per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -107,13 +107,13 @@ def _require(params: dict, keys, op: str) -> None:
             raise ConfigError(f"params.{k}: required for op '{op}'")
 
 
-def _diag_density(init: dict, path: str = "params.initial") -> DensityMatrix:
+def _diag_density(init: dict) -> DensityMatrix:
     n_max = init["n_max"]
     if init["type"] == "thermal":
         return make_state("thermal", n_max=n_max, nbar=init["nbar"])
     n = init["n"]
     if n > n_max:
-        raise ConfigError(f"{path}.n: must be within 0..n_max")
+        raise ConfigError("params.initial.n: must be within 0..n_max")
     r = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     r[n, n] = 1.0
     return DensityMatrix(r, n_max)
@@ -288,7 +288,8 @@ _GATE_SCHEMA = {
     "zeta_rms": Field("number", default=0.01),
     "phi_rms": Field("number", default=0.0),
     "systematic": Field("bool", default=False),
-    "trials": Field("int", default=200, hi=_MAX_CELLS),
+    # one batch: (trials, 9 pairs, 2, 2) blocks at the library's n_max = 8
+    "trials": Field("int", default=200, lo=1, hi=_MAX_CELLS // 36),
 }
 
 
@@ -328,6 +329,10 @@ def _run_gate(p: dict, seed: int) -> RunResult:
         }
         return RunResult(cols, rows, metrics)
     # noisy_sequence
+    M_top = max(p["M_values"])
+    if M_top * p["trials"] > _MAX_CELLS:
+        raise ConfigError(f"params.trials: must be <= {_MAX_CELLS // M_top} "
+                          f"with M_values up to {M_top}")
     base = PulseSpec("carrier", p["theta"], CouplingParams(Omega=1.0, eta=0.0))
     model = {"zeta_rms": p["zeta_rms"], "phi_rms": p["phi_rms"],
              "systematic": p["systematic"]}

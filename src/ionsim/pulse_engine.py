@@ -26,7 +26,6 @@ at phase phi+pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -48,6 +47,7 @@ from .quantum_core import (
     SPIN_UP,
     QuantumState,
     apply_unitary,
+    index_of,
     make_state,
     overlap,
     require_unitary,
@@ -76,14 +76,14 @@ class PulseSpec:
         so theta=pi inverts that pair).
     coupling : CouplingParams
         Base rate and Lamb-Dicke parameter of the driven mode.
-    phi : float
-        Field phase in rad.
+    phi : float or array
+        Field phase in rad, or one phase per entry of a batch.
     detuning_Delta : float
         Offset from the resonance class in rad/s, shared by all pairs.
     order : int
         Sideband order, >= 1; ignored for the carrier.
-    zeta, phi_err : float
-        Injected amplitude (area) and phase errors.
+    zeta, phi_err : float or array
+        Injected amplitude (area) and phase errors, or one per trial.
     reference_pair : (int, int), optional
         Fock levels (upper-spin n, lower-spin n) whose matrix element
         converts area to duration. Defaults: (0,0) carrier, (order,0)
@@ -128,9 +128,9 @@ class PulseSpec:
 def _rotation_block(Omega, Delta: float, t: float, phi: float, dn: int) -> np.ndarray:
     """Detuned propagators of driven (upper, lower) pairs, interaction picture.
 
-    Omega is one matrix element or an array of them; the result stacks one
-    2x2 block per element, shape shape(Omega) + (2, 2). A pair with no
-    generalized Rabi frequency (X = 0) gets the identity.
+    Omega, t and phi may be arrays; the result stacks one 2x2 block per
+    entry of their broadcast, shape broadcast(Omega, t, phi) + (2, 2). A
+    pair with no generalized Rabi frequency (X = 0) gets the identity.
     """
     X = np.hypot(Delta, 2.0 * np.asarray(Omega, dtype=float))
     live = X > 0.0
@@ -138,13 +138,13 @@ def _rotation_block(Omega, Delta: float, t: float, phi: float, dn: int) -> np.nd
     w = np.divide(Omega, X, out=np.zeros_like(X), where=live)
     half = 0.5 * X * t
     c, s = np.cos(half), np.sin(half)
-    dphase = cmath.exp(-0.5j * Delta * t)
+    dphase = np.exp(-0.5j * Delta * t)
     chi = 0.5 * Delta * t - phi - 0.5 * math.pi * dn
     off = -2j * w * s
-    U = np.empty(X.shape + (2, 2), dtype=complex)
+    U = np.empty(np.broadcast(off, chi).shape + (2, 2), dtype=complex)
     U[..., 0, 0] = dphase * (c + 1j * ratio * s)
-    U[..., 0, 1] = off * cmath.exp(-1j * chi)
-    U[..., 1, 0] = off * cmath.exp(1j * chi)
+    U[..., 0, 1] = off * np.exp(-1j * chi)
+    U[..., 1, 0] = off * np.exp(1j * chi)
     U[..., 1, 1] = dphase.conjugate() * (c - 1j * ratio * s)
     return U
 
@@ -155,12 +155,11 @@ def _rotation_block(Omega, Delta: float, t: float, phi: float, dn: int) -> np.nd
 
 def _pulse_blocks(p: PulseSpec, n_max: int):
     """Flat indices of |up, nu> and |down, nl> for each coupled pair, and
-    the stacked 2x2 propagators of the pairs, shape (pairs, 2, 2)."""
-    theta_eff = p.theta + p.zeta
-    phi_tot = p.phi + p.phi_err
-    if theta_eff < 0:
-        # the same pulse with its phase shifted by pi
-        theta_eff, phi_tot = -theta_eff, phi_tot + math.pi
+    the stacked 2x2 propagators, shape batch + (pairs, 2, 2)."""
+    theta_eff = p.theta + np.asarray(p.zeta, dtype=float)
+    # a negative area is the same pulse with its phase shifted by pi
+    phi_tot = np.where(theta_eff < 0, p.phi + p.phi_err + math.pi, p.phi + p.phi_err)
+    theta_eff = np.abs(theta_eff)
     dn = 0 if p.transition == "carrier" else p.order
 
     ref = p.reference_pair
@@ -178,7 +177,7 @@ def _pulse_blocks(p: PulseSpec, n_max: int):
         raise RangeError(f"reference pair {ref} has a vanishing matrix element")
     t = theta_eff / (2.0 * abs(Omega_ref))
     nu, nl = (n, n + dn) if p.transition == "red" else (n + dn, n)
-    blocks = _rotation_block(Omegas, p.detuning_Delta, t, phi_tot, dn)
+    blocks = _rotation_block(Omegas, p.detuning_Delta, t[..., None], phi_tot[..., None], dn)
     return n_max + 1 + nu, nl, blocks
 
 
@@ -202,24 +201,22 @@ def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
     return U
 
 
-def apply_pulse(
-    state: QuantumState,
-    p: PulseSpec,
-    eps_trunc: float = DEFAULT_EPS_TRUNC,
-    strict: bool = False,
-) -> QuantumState:
-    """Apply one pulse to a physical ion state and return the new state.
+def apply_pulse(state: QuantumState, p: PulseSpec, strict: bool = False) -> QuantumState:
+    """Apply one pulse to a state, or a batch of states, and return the result.
 
-    The field phase is p.phi + p.phi_err. A sideband pulse whose topmost
-    coupled partner would sit above the Fock truncation is refused
-    (InvalidTransitionError) whenever the stranded edge levels carry
-    population above 1e-12. The pulse acts pair by pair; no full-space
-    matrix is built. Population in the top two Fock levels above
-    eps_trunc warns, or raises TruncationError when strict is set.
+    The field phase is p.phi + p.phi_err; a pulse with one zeta, phi or
+    phi_err per trial broadcasts against the state's batch axis. A
+    sideband pulse whose topmost coupled partner would sit above the Fock
+    truncation is refused (InvalidTransitionError) whenever the stranded
+    edge levels of any state carry population above 1e-12. The pulse acts
+    pair by pair; no full-space matrix is built. Population in the top two
+    Fock levels above DEFAULT_EPS_TRUNC warns, or raises TruncationError
+    when strict is set.
     """
     if not isinstance(state, QuantumState):
         raise ModelInputError("apply_pulse acts on a QuantumState")
     n_max = state.n_max
+    amps = state.amplitudes
     if p.transition != "carrier":
         o = p.order
         if o > n_max:
@@ -228,21 +225,23 @@ def apply_pulse(
             )
         # edge levels whose partner lies above the truncation
         spin = SPIN_DOWN if p.transition == "blue" else SPIN_UP
-        for n in range(n_max - o + 1, n_max + 1):
-            amp = state.amplitude(spin, n)
-            if abs(amp) ** 2 > 1e-12:
-                raise InvalidTransitionError(
-                    f"{p.transition} sideband of order {o} from ({spin},{n}) "
-                    f"would leave the truncation n_max={n_max}"
-                )
+        top = index_of(spin, n_max, n_max)
+        stranded = np.abs(amps[..., top - o + 1:top + 1]).reshape(-1, o) ** 2 > 1e-12
+        if stranded.any():
+            n = n_max - o + 1 + int(np.argmax(stranded.any(axis=0)))
+            raise InvalidTransitionError(
+                f"{p.transition} sideband of order {o} from ({spin},{n}) "
+                f"would leave the truncation n_max={n_max}"
+            )
     iu, il, blk = _pulse_blocks(p, n_max)
     require_unitary(blk)
-    amps = state.amplitudes.astype(complex)
-    up, lo = amps[iu], amps[il]
-    amps[iu] = blk[:, 0, 0] * up + blk[:, 0, 1] * lo
-    amps[il] = blk[:, 1, 0] * up + blk[:, 1, 1] * lo
+    up, lo = amps[..., iu], amps[..., il]
+    up, lo = (blk[..., 0, 0] * up + blk[..., 0, 1] * lo,
+              blk[..., 1, 0] * up + blk[..., 1, 1] * lo)
+    amps = np.broadcast_to(amps, up.shape[:-1] + amps.shape[-1:]).copy()
+    amps[..., iu], amps[..., il] = up, lo
     out = QuantumState(amps, n_max)
-    truncation_guard(out.truncation_tail(), eps_trunc, strict)
+    truncation_guard(out.truncation_tail(), DEFAULT_EPS_TRUNC, strict)
     return out
 
 
@@ -573,8 +572,9 @@ def noisy_sequence_fidelity(
     per-pulse area and phase errors), systematic (bool; when set every
     pulse gets exactly zeta_rms and phi_rms instead of fresh draws, so all
     trials coincide). Per-pulse injections already present in the specs
-    are kept and the drawn errors add to them. Trial k uses the
-    deterministic stream base_seed + k.
+    are kept and the drawn errors add to them. Trial k draws its M area
+    and then its M phase errors from the stream base_seed + k; all trials
+    then pass through each pulse as one batch.
 
     Returns F_mean, F_std and a quadratic_fit dict whose coefficient is
     (1 - F_mean) divided by M*zeta_rms^2 (random model) or by the squared
@@ -595,10 +595,8 @@ def noisy_sequence_fidelity(
     if zeta_rms < 0 or phi_rms < 0:
         raise RangeError("error magnitudes must be >= 0")
 
-    psi0 = make_state("fock", n_max=n_max)
-
     def run(pulses):
-        psi = psi0
+        psi = make_state("fock", n_max=n_max)
         for p in pulses:
             psi = apply_pulse(psi, p)
         return psi
@@ -606,20 +604,15 @@ def noisy_sequence_fidelity(
     psi_ideal = run([replace(p, zeta=0.0, phi_err=0.0) for p in seq])
 
     M = len(seq)
-    fids = np.empty(trials)
-    for k in range(trials):
-        rng = np.random.default_rng(base_seed + k)
-        if systematic:
-            dz = np.full(M, zeta_rms)
-            df = np.full(M, phi_rms)
-        else:
-            dz = rng.normal(0.0, zeta_rms, M) if zeta_rms > 0 else np.zeros(M)
-            df = rng.normal(0.0, phi_rms, M) if phi_rms > 0 else np.zeros(M)
-        noisy = [
-            replace(p, zeta=p.zeta + dz[i], phi_err=p.phi_err + df[i])
-            for i, p in enumerate(seq)
-        ]
-        fids[k] = abs(overlap(psi_ideal, run(noisy))) ** 2
+    dz, df = np.full((M, trials), zeta_rms), np.full((M, trials), phi_rms)
+    if not systematic:
+        for k in range(trials):
+            rng = np.random.default_rng(base_seed + k)
+            dz[:, k] = rng.normal(0.0, zeta_rms, M) if zeta_rms > 0 else 0.0
+            df[:, k] = rng.normal(0.0, phi_rms, M) if phi_rms > 0 else 0.0
+    noisy = run([replace(p, zeta=p.zeta + dz[i], phi_err=p.phi_err + df[i])
+                 for i, p in enumerate(seq)])
+    fids = np.abs(overlap(psi_ideal, noisy)) ** 2
 
     F_mean = float(np.mean(fids))
     F_std = float(np.std(fids, ddof=1)) if trials > 1 else 0.0

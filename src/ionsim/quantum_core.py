@@ -45,12 +45,14 @@ def index_of(spin, n: int, n_max: int) -> int:
 
 
 class QuantumState:
-    """Pure state on the spin (x) truncated-oscillator space.
+    """Pure state on the spin (x) truncated-oscillator space, or a batch.
 
     Parameters
     ----------
-    amplitudes : array_like, complex, length 2*(n_max+1)
+    amplitudes : array_like, complex, shape (..., 2*(n_max+1))
         Basis ordering: all spin-down Fock amplitudes first, then spin-up.
+        Leading axes index a batch of states, such as Monte Carlo trials;
+        norm is per state, and amplitude and apply_unitary take one state.
     n_max : int
         Highest retained Fock level.
 
@@ -61,9 +63,9 @@ class QuantumState:
 
     def __init__(self, amplitudes, n_max: int):
         amps = np.asarray(amplitudes, dtype=complex)
-        if amps.shape != (2 * (n_max + 1),):
+        if amps.ndim < 1 or amps.shape[-1] != 2 * (n_max + 1):
             raise DimensionError(
-                f"amplitude vector has shape {amps.shape}, expected ({2*(n_max+1)},)"
+                f"amplitude array has shape {amps.shape}, expected (..., {2*(n_max+1)})"
             )
         self.amplitudes = amps
         self.n_max = int(n_max)
@@ -72,17 +74,17 @@ class QuantumState:
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self):
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
     def amplitude(self, spin, n: int) -> complex:
         return complex(self.amplitudes[index_of(spin, n, self.n_max)])
 
     def truncation_tail(self) -> float:
-        """Population in the top two Fock levels, summed over spin."""
+        """Population in the top two Fock levels, summed over spin (largest in a batch)."""
         N = self.n_max + 1
         idx = [N - 2, N - 1, 2 * N - 2, 2 * N - 1] if N >= 2 else [N - 1, 2 * N - 1]
-        return float(np.sum(np.abs(self.amplitudes[idx]) ** 2))
+        return float((np.abs(self.amplitudes[..., idx]) ** 2).sum(axis=-1).max())
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.amplitudes.copy(), self.n_max)
@@ -230,6 +232,8 @@ def apply_unitary(
     """
     U = np.asarray(U, dtype=complex)
     if isinstance(state, QuantumState):
+        if state.amplitudes.ndim != 1:
+            raise DimensionError("apply_unitary acts on one state, not a batch")
         dim = state.dim
     elif isinstance(state, DensityMatrix):
         dim = state.n_max + 1
@@ -272,13 +276,16 @@ def truncation_guard(tail: float, eps_trunc: float, strict: bool) -> None:
         warnings.warn(msg, TruncationWarning)
 
 
-def overlap(a: QuantumState, b: QuantumState) -> complex:
-    """Inner product <a|b>."""
+def overlap(a: QuantumState, b: QuantumState):
+    """Inner product <a|b> of a single state a; an array of them if b is a batch."""
     if not isinstance(a, QuantumState) or not isinstance(b, QuantumState):
         raise ModelInputError("overlap takes two QuantumState objects")
+    if a.amplitudes.ndim != 1:
+        raise DimensionError("overlap takes a single state as a, not a batch")
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    ov = b.amplitudes @ a.amplitudes.conj()
+    return complex(ov) if ov.ndim == 0 else ov
 
 
 def detection_false_negative(n_d: float) -> float:

@@ -290,7 +290,7 @@ def _chain_hessian(u: np.ndarray) -> np.ndarray:
     return H
 
 
-def _solve_chain(L: int, tol: float = 1e-12) -> np.ndarray:
+def _solve_chain(L: int) -> np.ndarray:
     """Centred dimensionless equilibrium positions of an L-ion chain.
 
     scipy's hybrid Powell solver (``root``, method "hybr") finds the zero
@@ -300,7 +300,7 @@ def _solve_chain(L: int, tol: float = 1e-12) -> np.ndarray:
     residual check at some lengths (L = 344).
 
     Raises ConvergenceError if the ions end out of order or the largest
-    force stays above tol * max(1, max|u|).
+    force stays above 1e-12 * max(1, max|u|).
     """
     if L == 1:
         return np.zeros(1)
@@ -319,7 +319,7 @@ def _solve_chain(L: int, tol: float = 1e-12) -> np.ndarray:
         u, force = u_new, f_new
     if not np.all(np.diff(u) > 0):
         raise ConvergenceError("chain solve left the ions out of order")
-    if not force <= tol * max(1.0, float(np.max(np.abs(u)))):
+    if not force <= 1e-12 * max(1.0, float(np.max(np.abs(u)))):
         raise ConvergenceError(f"chain equilibrium residual {force:.2e}")
     return u - u.mean()
 

@@ -553,6 +553,25 @@ def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_trial_draws_over_the_cap_exit_2_before_drawing(tmp_path, capsys):
+    # each field is inside its own cap, but M_values x trials draws are not
+    M = 64
+    body = _bundled("gate.error_budget")
+    body["params"].update(M_values=[4, M], trials=cli._MAX_CELLS // M + 1)
+    cfg = write_cfg(tmp_path, body)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"params.trials: must be <= {cli._MAX_CELLS // M}" in err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
 def _schemas(schema, prefix=""):
     """(dotted prefix, schema) for a schema and every block schema in it."""
     yield prefix, schema

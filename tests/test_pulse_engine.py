@@ -12,9 +12,11 @@ Oracles used here and nowhere else:
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.stats import poisson
 
@@ -33,6 +35,7 @@ from ionsim.pulse_engine import (
     GateReport,
     PulseSpec,
     RegisterState,
+    TRANSITIONS,
     _rotation_block,
     apply_cn_between_ions,
     apply_pulse,
@@ -327,6 +330,44 @@ def test_apply_pulse_matches_full_space_unitary():
     with pytest.raises(TruncationError):
         apply_pulse(make_state("fock", n_max=4, n=3), PulseSpec("blue", math.pi,
                     CouplingParams(1.0, 0.1)), strict=True)
+
+
+def test_apply_pulse_batch_matches_row_by_row_calls():
+    rng = np.random.default_rng(41)
+    n_max, trials = 6, 5
+    c = CouplingParams(1.2, 0.15)
+    rows = np.array([random_state(rng, n_max, top_empty=2).amplitudes for _ in range(trials)])
+    batch = QuantumState(rows, n_max)
+    for tr in TRANSITIONS:
+        zeta = rng.normal(0.0, 1.0, trials)     # some areas turn negative
+        phi_err = rng.normal(0.0, 0.3, trials)
+        p = PulseSpec(tr, 0.7, c, phi=0.3, detuning_Delta=0.2, zeta=zeta, phi_err=phi_err)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            got = apply_pulse(batch, p)
+            want = [apply_pulse(QuantumState(r, n_max), replace(p, zeta=z, phi_err=f))
+                    for r, z, f in zip(rows, zeta, phi_err)]
+            # a batch of one, of states or of pulses, is the single state
+            one = replace(p, zeta=zeta[0], phi_err=phi_err[0])
+            single = apply_pulse(QuantumState(rows[0], n_max), one).amplitudes
+            of_states = apply_pulse(QuantumState(rows[:1], n_max), one).amplitudes
+            of_pulses = apply_pulse(QuantumState(rows[0], n_max),
+                                    replace(p, zeta=zeta[:1], phi_err=phi_err[:1])).amplitudes
+        assert np.array_equal(got.amplitudes, [w.amplitudes for w in want])
+        assert got.norm().shape == (trials,)
+        assert np.max(np.abs(got.norm() - 1.0)) < 1e-12
+        assert of_states.shape == of_pulses.shape == (1, 2 * (n_max + 1))
+        assert np.array_equal(of_states[0], single)
+        assert np.array_equal(of_pulses[0], single)
+        ov = overlap(QuantumState(rows[0], n_max), got)
+        assert ov.shape == (trials,)
+        rowwise = [overlap(QuantumState(rows[0], n_max), w) for w in want]
+        assert np.max(np.abs(ov - rowwise)) <= 1e-15
+    # a stranded edge level in any one state of the batch refuses the pulse
+    rows[3, n_max] = 1e-3
+    with pytest.raises(InvalidTransitionError, match=rf"\(down,{n_max}\)"):
+        apply_pulse(QuantumState(rows, n_max), PulseSpec("blue", 0.7, c))
+
 
 # -------------------------------------------------- three-pulse controlled-not
 
@@ -655,6 +696,52 @@ def test_negative_area_is_signed_rotation():
             ]
         )
         assert np.max(np.abs(U[np.ix_(idx, idx)] - expected)) < 1e-14
+
+
+def _per_trial_fidelities(seq, zeta_rms, phi_rms, systematic, trials, base_seed,
+                          n_max=8):
+    """The per-trial loop as a reference: one single state per trial, one
+    apply_pulse call per pulse, and trial k's M area then M phase errors
+    drawn from default_rng(base_seed + k)."""
+    def run(pulses):
+        psi = make_state("fock", n_max=n_max)
+        for p in pulses:
+            psi = apply_pulse(psi, p)
+        return psi
+
+    ideal = run([replace(p, zeta=0.0, phi_err=0.0) for p in seq])
+    M = len(seq)
+    fids = []
+    for k in range(trials):
+        rng = np.random.default_rng(base_seed + k)
+        if systematic:
+            dz, df = np.full(M, zeta_rms), np.full(M, phi_rms)
+        else:
+            dz = rng.normal(0.0, zeta_rms, M) if zeta_rms > 0 else np.zeros(M)
+            df = rng.normal(0.0, phi_rms, M) if phi_rms > 0 else np.zeros(M)
+        noisy = run([replace(p, zeta=p.zeta + float(dz[i]), phi_err=p.phi_err + float(df[i]))
+                     for i, p in enumerate(seq)])
+        fids.append(abs(np.vdot(ideal.amplitudes, noisy.amplitudes)) ** 2)
+    return np.array(fids)
+
+
+_PULSES = st.lists(st.tuples(st.sampled_from(TRANSITIONS), st.floats(0.0, 2 * math.pi),
+                             st.floats(-math.pi, math.pi)), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), _PULSES, st.booleans(), st.floats(0.0, 0.5),
+       st.floats(1e-3, 0.5), st.integers(0, 2**31))
+@example(8, [("carrier", 0.01, 0.0)] * 4, False, 0.5, 0.1, 0)   # negative areas
+def test_batched_trials_match_per_trial_loop(trials, pulses, systematic, zeta_rms,
+                                             phi_rms, base_seed):
+    c = CouplingParams(1.0, 0.1)
+    seq = [PulseSpec(tr, theta, c, phi=phi) for tr, theta, phi in pulses]
+    fids = _per_trial_fidelities(seq, zeta_rms, phi_rms, systematic, trials, base_seed)
+    model = {"zeta_rms": zeta_rms, "phi_rms": phi_rms, "systematic": systematic}
+    out = noisy_sequence_fidelity(seq, model, trials=trials, base_seed=base_seed)
+    assert abs(out["F_mean"] - np.mean(fids)) <= 1e-15
+    assert abs(out["F_std"] - (np.std(fids, ddof=1) if trials > 1 else 0.0)) <= 1e-15
 
 
 def test_noisy_sequence_survives_negative_area_draws():

@@ -156,6 +156,15 @@ def test_shape_mismatch_rejected():
         apply_unitary(st, np.eye(5))
 
 
+def test_batched_state_rejected_by_apply_unitary():
+    # trials == dim: U @ amps would act on the trial axis without an error
+    n_max = 3
+    dim = 2 * (n_max + 1)
+    batch = QuantumState(np.eye(dim), n_max)
+    with pytest.raises(DimensionError):
+        apply_unitary(batch, random_unitary(dim, seed=5))
+
+
 def test_unitary_on_density_matrix():
     dm = make_state("thermal", n_max=20, nbar=0.5)
     U = random_unitary(5, seed=11)
