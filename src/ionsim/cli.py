@@ -74,9 +74,12 @@ from .trap_model import (
     chain_equilibrium,
     collision_rates,
     critical_anisotropy,
-    heating_time_estimate,
     mathieu_trajectory,
+    patch_heating_time,
+    resistive_heating_time,
     secular_frequencies,
+    series_inductance,
+    stray_field_heating_time,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -470,43 +473,39 @@ def _run_heat(p: dict, seed: int) -> RunResult:
     cols = [("estimate", ""), ("value", ""), ("unit", "")]
     rows, metrics = [], {}
     if p["resistive"] is not None:
-        kw = {k: v for k, v in p["resistive"].items() if v is not None}
-        if "ell_L" in kw:
+        rs = p["resistive"]
+        if rs["ell_L"] is not None:
             for k in ("d", "alpha"):
-                if k in kw:
+                if rs[k] is not None:
                     raise ConfigError(f"params.resistive.{k}: conflicts with ell_L")
-        elif "d" in kw:
+            ell_L = rs["ell_L"]
+        elif rs["d"] is not None:
             _require(p, ("mass", "charge"), "estimators (resistive geometry)")
-            kw.update(mass=p["mass"], charge=p["charge"])
+            alpha = {} if rs["alpha"] is None else {"alpha": rs["alpha"]}
+            ell_L = series_inductance(p["mass"], rs["d"], p["charge"], **alpha)
         else:
             raise ConfigError("params.resistive: needs ell_L or d")
-        est = heating_time_estimate("resistive", **kw)
-        rows.append(("resistive_t_star", est.t_star, "s"))
-        metrics["resistive_t_star_s"] = est.t_star
+        t = resistive_heating_time(rs["r"], rs["T"], rs["omega_z"], ell_L)
+        rows.append(("resistive_t_star", t, "s"))
+        metrics["resistive_t_star_s"] = t
     if p["stray_field"] is not None:
         sf = p["stray_field"]
         _require(p, ("mass", "charge"), "estimators (stray_field)")
-        est = heating_time_estimate(
-            "stray_field", mass=p["mass"], charge=p["charge"],
-            omega_z=sf["omega_z"], S_U=sf["S_U"], U0=sf["U0"], E_s=sf["E_s"],
-        )
-        rows.append(("stray_field_t_star", est.t_star, "s"))
-        metrics["stray_field_t_star_s"] = est.t_star
+        t = stray_field_heating_time(p["mass"], p["charge"], sf["omega_z"],
+                                     sf["S_U"], sf["U0"], sf["E_s"])
+        rows.append(("stray_field_t_star", t, "s"))
+        metrics["stray_field_t_star_s"] = t
     if p["patch"] is not None:
         pa = p["patch"]
-        est = heating_time_estimate(
-            "patch", theta=pa["theta"], D=pa["D"],
-            kappa_patch=pa["kappa_patch"], r_a=pa["r_a"], a_p=pa["a_p"],
-            omega_z=pa["omega_z"], ell_L=pa["ell_L"],
-        )
-        rows.append(("patch_t_star", est.t_star, "s"))
-        metrics["patch_t_star_s"] = est.t_star
+        t = patch_heating_time(pa["theta"], pa["D"], pa["kappa_patch"],
+                               pa["r_a"], pa["a_p"], pa["omega_z"], pa["ell_L"])
+        rows.append(("patch_t_star", t, "s"))
+        metrics["patch_t_star_s"] = t
     if p["collisions"] is not None:
         co = p["collisions"]
         _require(p, ("mass", "charge"), "estimators (collisions)")
-        gas = {"polarizability": co["polarizability"], "mass": co["gas_mass"]}
-        cr = collision_rates(gas, co["pressure"], co["T"], p["mass"],
-                             charge=p["charge"])
+        cr = collision_rates(co["polarizability"], co["gas_mass"], co["pressure"],
+                             co["T"], p["mass"], charge=p["charge"])
         rows.extend([
             ("k_langevin", cr.k_langevin, "m^3/s"),
             ("gamma_langevin", cr.gamma_langevin, "1/s"),

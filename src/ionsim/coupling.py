@@ -360,14 +360,6 @@ def spontaneous_emission_ratio(
     return EmissionRatio(xi=xi, kappa=kappa, kappa_opt=kappa_opt, xi_min=xi_min)
 
 
-def beam_crosstalk(w0: float, r: float) -> dict:
-    """Relative intensity and field of a Gaussian beam at radius r."""
-    if w0 <= 0:
-        raise RangeError("w0 must be positive")
-    intensity = math.exp(-2.0 * r**2 / w0**2)
-    return {"intensity_ratio": intensity, "field_ratio": math.sqrt(intensity)}
-
-
 def stark_addressing_epsilon(theta: float, m: int) -> dict:
     """Intensity ratio that makes a neighbor close its off-resonant orbit.
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .coupling import CouplingParams, ladder, rabi_frequency
 from .errors import (
@@ -46,7 +45,6 @@ from .quantum_core import (
     SPIN_DOWN,
     SPIN_UP,
     QuantumState,
-    apply_unitary,
     index_of,
     make_state,
     overlap,
@@ -521,38 +519,6 @@ def prepare_max_entangled(L: int, n_bus: int = 1) -> RegisterState:
     for i in range(1, L):
         reg = apply_cn_between_ions(reg, 0, i)
     return reg
-
-
-# ---------------------------------------------------------------------------
-# coherent drive
-
-
-def displacement_drive(
-    state: QuantumState,
-    Omega1: complex,
-    t: float,
-    eps_trunc: float = DEFAULT_EPS_TRUNC,
-    strict: bool = True,
-) -> QuantumState:
-    """Uniform force resonant with the mode: displacement by alpha = Omega1*t.
-
-    Exponentiates alpha a+ - alpha* a on the truncation, identically for
-    both spin components. Strict by default: pushing the coherent tail
-    into the guard band raises TruncationError rather than warning.
-    """
-    if not isinstance(state, QuantumState):
-        raise ModelInputError("displacement_drive acts on a QuantumState")
-    if t < 0:
-        raise RangeError("duration must be >= 0")
-    alpha = complex(Omega1) * t
-    N = state.n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, N)), 1).astype(complex)
-    G = alpha * a.conj().T - np.conj(alpha) * a
-    D = expm(G)
-    U = np.zeros((2 * N, 2 * N), dtype=complex)
-    U[:N, :N] = D
-    U[N:, N:] = D
-    return apply_unitary(state, U, eps_trunc=eps_trunc, strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ internal level, "down" the lower. Composite amplitudes are indexed
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -287,13 +286,3 @@ def overlap(a: QuantumState, b: QuantumState):
     ov = b.amplitudes @ a.amplitudes.conj()
     return complex(ov) if ov.ndim == 0 else ov
 
-
-def detection_false_negative(n_d: float) -> float:
-    """Probability of detecting zero photons from a bright state.
-
-    With n_d mean detected photons per interrogation the Poissonian
-    no-count probability is exp(-n_d).
-    """
-    if n_d < 0:
-        raise RangeError("mean photon number must be >= 0")
-    return math.exp(-n_d)

@@ -3,19 +3,22 @@
 Covers the closed-form layer of the simulator: secular frequencies from
 the Mathieu stability parameters, the lowest-order driven trajectory,
 chain equilibrium positions and axial normal modes, the zigzag stability
-bound, and the closed-form estimators for motional heating, background-gas
-collisions, static-field cross-mode growth, and coupled-oscillator energy
-exchange.
+bound, and the closed-form estimators for background-gas collisions,
+static-field cross-mode growth, coupled-oscillator energy exchange and
+motional heating. Each heating channel (resistive electrode noise,
+stray-field-coupled voltage noise, diffusing patch potentials) is one
+function of its physical inputs that returns t*, the time to leave the
+motional ground state, in seconds.
 
 Everything is SI. Every name ``omega_*`` is an angular frequency (rad/s);
-plain cycle frequencies (Hz) appear only inside the heating estimators
+plain cycle frequencies (Hz) appear only inside the patch estimator,
 where a spectral density is sampled, and are labelled ``nu``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import epsilon_0, hbar, k as k_B
@@ -146,15 +149,6 @@ class MicromotionFactors:
 
 
 @dataclass(frozen=True)
-class HeatingEstimate:
-    """Result of one closed-form heating-time estimate."""
-
-    t_star: float
-    model: str
-    details: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class CollisionRates:
     """Background-gas rate constants (m^3/s) and rates (1/s)."""
 
@@ -230,13 +224,6 @@ def secular_frequencies(p: TrapParams) -> MathieuCoeffs:
         omega_y=beta_y * p.OmegaT / 2.0,
         omega_z=omega_z,
     )
-
-
-def endcap_voltage_for_frequency(
-    omega_z: float, kappa: float, charge: float, mass: float
-) -> float:
-    """Static endcap potential that produces a given axial frequency."""
-    return mass * omega_z**2 / (2.0 * kappa * charge)
 
 
 def mathieu_trajectory(
@@ -476,102 +463,53 @@ def micromotion_suppression(
 
 
 # ---------------------------------------------------------------------------
-# heating-time estimators
+# heating-time estimators: t*, the time to leave the motional ground state
 
 
-def _series_inductance(inputs: dict) -> float:
-    """Equivalent inductance m d^2 / (L (alpha q)^2) of the ion oscillator."""
-    try:
-        m = inputs["mass"]
-        d = inputs["d"]
-        q = inputs["charge"]
-    except KeyError as k:
-        raise ModelInputError(f"resistive model needs ell_L or mass/d/charge (missing {k})")
-    alpha = inputs.get("alpha", 0.8)
-    n_ions = inputs.get("n_ions", 1)
-    return m * d**2 / (n_ions * (alpha * q) ** 2)
+def series_inductance(mass: float, d: float, charge: float, alpha: float = 0.8) -> float:
+    """Equivalent inductance m d^2 / (alpha q)^2 of one ion oscillating
+    between electrodes a distance d apart; alpha is the fraction of the
+    electrode field that reaches the ion."""
+    return mass * d**2 / (alpha * charge) ** 2
 
 
-def heating_time_estimate(model: str, **inputs) -> HeatingEstimate:
-    """Closed-form estimate of t*, the time to leave the motional ground state.
+def resistive_heating_time(r: float, T: float, omega_z: float, ell_L: float) -> float:
+    """Thermal electrode noise through a series resistance r at temperature
+    T: t* = hbar omega_z ell_L / (k_B T r), with ell_L the equivalent
+    inductance (see series_inductance). With the quality factor
+    Q = omega_z ell_L / r this is t* = hbar Q / (k_B T)."""
+    return hbar * omega_z * ell_L / (k_B * T * r)
 
-    model = "resistive"
-        Thermal electrode noise through a series resistance r at
-        temperature T: t* = hbar omega_z ell_L / (k_B T r), with
-        ell_L = m d^2/(L (alpha q)^2) the equivalent inductance (pass
-        ell_L directly, or mass/d/charge with optional alpha and n_ions).
-        Alternative input: a quality factor Q with T (t* = hbar Q/(k_B T)).
-    model = "stray_field"
-        Static field E_s converts endcap-voltage noise S_U into field
-        noise: t* = [4 m hbar omega_z/(q^2 S_U)] (U0/E_s)^2. U0 may be
-        given directly or computed from kappa.
-    model = "patch"
-        Diffusing surface-potential patches with spectral density
-        S(nu) = 4 theta sqrt(D) (kappa_p r_a)^2/(3 a_p^3) nu^(-3/2) above
-        the corner nu_c = 4 D / l_d^2; then t* = 4 hbar omega_z ell_L / S
-        sampled at nu = omega_z/(2 pi), which must be positive
-        (RangeError otherwise). Order-of-magnitude model; the details
-        dict carries nu_c and the sampled density.
 
-    Returns a HeatingEstimate; details holds intermediate quantities.
+def stray_field_heating_time(
+    mass: float, charge: float, omega_z: float, S_U: float, U0: float, E_s: float
+) -> float:
+    """A static field E_s converts noise S_U (V^2 s) on the endcap
+    potential U0 into field noise: t* = [4 m hbar omega_z/(q^2 S_U)] (U0/E_s)^2."""
+    return (4.0 * mass * hbar * omega_z / (charge**2 * S_U)) * (U0 / E_s) ** 2
+
+
+def patch_heating_time(
+    theta: float,
+    D: float,
+    kappa_patch: float,
+    r_a: float,
+    a_p: float,
+    omega_z: float,
+    ell_L: float,
+) -> float:
+    """Diffusing surface-potential patches, an order-of-magnitude model.
+
+    Patches diffusing with constant D give the potential noise density
+    S(nu) = 4 theta sqrt(D) (kappa_patch r_a)^2/(3 a_p^3) nu^(-3/2).
+    Sampled at nu = omega_z/(2 pi), it gives t* = 4 hbar omega_z ell_L / S.
+    RangeError unless omega_z > 0.
     """
-    if model == "resistive":
-        T = inputs.get("T")
-        if "Q" in inputs:
-            if T is None:
-                raise ModelInputError("resistive model with Q needs T")
-            Q = inputs["Q"]
-            t = hbar * Q / (k_B * T)
-            return HeatingEstimate(t, model, {"Q": Q})
-        if T is None or "r" not in inputs or "omega_z" not in inputs:
-            raise ModelInputError("resistive model needs r, T and omega_z")
-        ell = inputs.get("ell_L") or _series_inductance(inputs)
-        w = inputs["omega_z"]
-        r = inputs["r"]
-        t = hbar * w * ell / (k_B * T * r)
-        return HeatingEstimate(t, model, {"ell_L": ell, "Q": w * ell / r})
-
-    if model == "stray_field":
-        try:
-            m, q, w = inputs["mass"], inputs["charge"], inputs["omega_z"]
-            S_U, E_s = inputs["S_U"], inputs["E_s"]
-        except KeyError as k:
-            raise ModelInputError(f"stray_field model missing {k}")
-        U0 = inputs.get("U0")
-        if U0 is None:
-            if "kappa" not in inputs:
-                raise ModelInputError("stray_field model needs U0 or kappa")
-            U0 = endcap_voltage_for_frequency(w, inputs["kappa"], q, m)
-        t = (4.0 * m * hbar * w / (q**2 * S_U)) * (U0 / E_s) ** 2
-        return HeatingEstimate(t, model, {"U0": U0})
-
-    if model == "patch":
-        try:
-            theta, D = inputs["theta"], inputs["D"]
-            kappa_p, r_a, a_p = inputs["kappa_patch"], inputs["r_a"], inputs["a_p"]
-            w = inputs["omega_z"]
-        except KeyError as k:
-            raise ModelInputError(f"patch model missing {k}")
-        if w <= 0:
-            raise RangeError("patch model needs omega_z > 0")
-        ell = inputs.get("ell_L") or _series_inductance(inputs)
-        l_d = inputs.get("l_d", a_p)
-        nu = w / (2.0 * math.pi)
-        nu_c = 4.0 * D / l_d**2
-        S = 4.0 * theta * math.sqrt(D) * (kappa_p * r_a) ** 2 / (3.0 * a_p**3) * nu**-1.5
-        t = 4.0 * hbar * w * ell / S
-        return HeatingEstimate(
-            t,
-            model,
-            {
-                "nu_c": nu_c,
-                "S_at_mode": S,
-                "ell_L": ell,
-                "note": "order-of-magnitude model",
-            },
-        )
-
-    raise ModelInputError(f"unknown heating model '{model}'")
+    if omega_z <= 0:
+        raise RangeError("patch model needs omega_z > 0")
+    nu = omega_z / (2.0 * math.pi)
+    S = 4.0 * theta * math.sqrt(D) * (kappa_patch * r_a) ** 2 / (3.0 * a_p**3) * nu**-1.5
+    return 4.0 * hbar * omega_z * ell_L / S
 
 
 # prefactor of the thermally averaged elastic rate constant in SI units;
@@ -580,32 +518,32 @@ _K_ELASTIC_SI = 1.23e5
 
 
 def collision_rates(
-    gas: dict, pressure: float, T: float, ion_mass: float, charge: float = 1.602176634e-19
+    polarizability: float,
+    gas_mass: float,
+    pressure: float,
+    T: float,
+    ion_mass: float,
+    charge: float = 1.602176634e-19,
 ) -> CollisionRates:
     """Background-gas collision rate constants and rates.
 
-    gas must carry "polarizability" (the polarizability volume, m^3) and
-    "mass" (kg). The capture (spiraling) rate constant is
-    k = q sqrt(pi alpha / (eps0 mu)) with mu the reduced mass; it is
-    velocity independent. The elastic momentum-transfer estimate uses the
-    quasi-classical total cross section in an attractive 1/r^4 potential,
-    thermally averaged: k = 1.23e5 * alpha^(2/3) * v_t^(1/3) with
-    v_t = sqrt(2 k_B T / mu). Rates are n*k with n = P/(k_B T).
+    polarizability is the gas's polarizability volume alpha (m^3) and
+    gas_mass its molecular mass (kg). The capture (spiraling) rate
+    constant is k = q sqrt(pi alpha / (eps0 mu)) with mu the reduced mass;
+    it is velocity independent. The elastic momentum-transfer estimate
+    uses the quasi-classical total cross section in an attractive 1/r^4
+    potential, thermally averaged: k = 1.23e5 * alpha^(2/3) * v_t^(1/3)
+    with v_t = sqrt(2 k_B T / mu). Rates are n*k with n = P/(k_B T).
     """
     if T <= 0:
         raise RangeError("temperature must be positive")
     if pressure < 0:
         raise RangeError("pressure must be non-negative")
-    try:
-        alpha = gas["polarizability"]
-        m_gas = gas["mass"]
-    except KeyError as k:
-        raise ModelInputError(f"gas dict missing {k}")
-    mu = m_gas * ion_mass / (m_gas + ion_mass)
+    mu = gas_mass * ion_mass / (gas_mass + ion_mass)
     n = pressure / (k_B * T)
-    k_lan = charge * math.sqrt(math.pi * alpha / (epsilon_0 * mu))
+    k_lan = charge * math.sqrt(math.pi * polarizability / (epsilon_0 * mu))
     v_t = math.sqrt(2.0 * k_B * T / mu)
-    k_el = _K_ELASTIC_SI * alpha ** (2.0 / 3.0) * v_t ** (1.0 / 3.0)
+    k_el = _K_ELASTIC_SI * polarizability ** (2.0 / 3.0) * v_t ** (1.0 / 3.0)
     return CollisionRates(
         k_langevin=k_lan,
         gamma_langevin=n * k_lan,

@@ -50,7 +50,9 @@ from ionsim.trap_model import (
     chain_equilibrium,
     collision_rates,
     critical_anisotropy,
-    heating_time_estimate,
+    patch_heating_time,
+    resistive_heating_time,
+    stray_field_heating_time,
 )
 
 M_ION = 9.0 * atomic_mass
@@ -176,24 +178,18 @@ def test_criterion_07_master_equation_thermal_bath():
 
 
 def test_criterion_08_heating_and_collision_estimates():
-    res = heating_time_estimate(
-        "resistive", mass=M_ION, charge=Q_ION,
-        r=0.0415, T=300.0, omega_z=2 * math.pi * 20e6, ell_L=6.0e4,
-    )
-    assert res.t_star == pytest.approx(4.6, rel=0.05)
-    stray = heating_time_estimate(
-        "stray_field", mass=M_ION, charge=Q_ION,
-        S_U=1e-18, U0=17.0, E_s=100.0, omega_z=2 * math.pi * 10e6,
-    )
-    assert stray.t_star == pytest.approx(430.0, rel=0.05)
-    patch = heating_time_estimate(
-        "patch", mass=M_ION, charge=Q_ION,
-        theta=0.13, D=1e-15, kappa_patch=3.0, r_a=10e-9,
-        a_p=130e-6, omega_z=2 * math.pi * 11e6, ell_L=6.2e4,
-    )
-    assert patch.t_star == pytest.approx(30.0, rel=0.20)
-    h2 = {"polarizability": 0.8023e-30, "mass": 2.0159 * atomic_mass}
-    rates = collision_rates(h2, 1e-8, 300.0, M_ION)
+    res = resistive_heating_time(r=0.0415, T=300.0, omega_z=2 * math.pi * 20e6,
+                                 ell_L=6.0e4)
+    assert res == pytest.approx(4.6, rel=0.05)
+    stray = stray_field_heating_time(mass=M_ION, charge=Q_ION,
+                                     omega_z=2 * math.pi * 10e6,
+                                     S_U=1e-18, U0=17.0, E_s=100.0)
+    assert stray == pytest.approx(430.0, rel=0.05)
+    patch = patch_heating_time(theta=0.13, D=1e-15, kappa_patch=3.0, r_a=10e-9,
+                               a_p=130e-6, omega_z=2 * math.pi * 11e6, ell_L=6.2e4)
+    assert patch == pytest.approx(30.0, rel=0.20)
+    rates = collision_rates(polarizability=0.8023e-30, gas_mass=2.0159 * atomic_mass,
+                            pressure=1e-8, T=300.0, ion_mass=M_ION)
     assert rates.k_langevin == pytest.approx(1.64e-15, rel=0.10)
     assert rates.gamma_langevin == pytest.approx(0.004, rel=0.10)
     assert rates.k_elastic == pytest.approx(1.24e-14, rel=0.10)

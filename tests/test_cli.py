@@ -25,6 +25,7 @@ from ionsim._config import (
 )
 from ionsim._svg import line_plot
 from ionsim.errors import ConfigError, TruncationWarning
+from ionsim.trap_model import series_inductance
 
 from golden.make_golden import LEDGER, mismatches, parse_csv
 
@@ -642,6 +643,29 @@ def test_resistive_geometry_with_ell_L_exits_2(key, value, tmp_path, capsys):
     rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"params.resistive.{key}: conflicts with ell_L" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [{"alpha": 0.8}, {}], ids=["alpha_0.8", "alpha_absent"])
+def test_resistive_geometry_matches_ell_L_path(alpha, tmp_path, capsys):
+    # a 9 u ion between electrodes 260 um apart: the inductance is about
+    # 6.149e4 H, and the default coupling efficiency is 0.8
+    def t_star(ion, resistive, out):
+        body = {"kind": "heat",
+                "params": {"op": "estimators", **ion, "resistive": resistive}}
+        rc = cli.main(["run", write_cfg(tmp_path, body), "--json",
+                       "--out", str(tmp_path / out)])
+        assert rc == 0
+        return json.loads(capsys.readouterr().out)["metrics"]["resistive_t_star_s"]
+
+    given = _bundled("heat.estimators")["params"]["resistive"]
+    del given["ell_L"]
+    ion = {"mass": "9.0 u", "charge": "1 e"}
+    ell_L = series_inductance(parse_quantity(ion["mass"], "kg", "p"),
+                              parse_quantity("260 um", "m", "p"),
+                              parse_quantity(ion["charge"], "C", "p"))
+    assert ell_L == pytest.approx(6.149e4, rel=1e-3)
+    geometry = t_star(ion, {**given, "d": "260 um", **alpha}, "d")
+    assert geometry == t_star({}, {**given, "ell_L": ell_L}, "ell_L")
 
 
 @pytest.mark.parametrize("extra,block,key", [

@@ -23,7 +23,6 @@ from scipy.special import eval_genlaguerre, poch
 from ionsim.coupling import (
     CouplingParams,
     ModeEnsemble,
-    beam_crosstalk,
     debye_waller_stats,
     _laguerre_rows,
     ladder,
@@ -415,25 +414,6 @@ def test_emission_ratio_edge_cases():
 
 
 # ------------------------------------------------------------ addressing
-
-
-def test_beam_crosstalk_values():
-    b = beam_crosstalk(5e-6, 10e-6)
-    assert b["intensity_ratio"] == pytest.approx(math.exp(-8.0), rel=1e-13)
-    assert 2.5e-4 < b["intensity_ratio"] < 4e-4
-    assert 0.017 < b["field_ratio"] < 0.019
-    assert beam_crosstalk(5e-6, 0.0)["intensity_ratio"] == 1.0
-    with pytest.raises(RangeError):
-        beam_crosstalk(0.0, 1e-6)
-
-
-def test_beam_crosstalk_tight_waist():
-    # the formula itself: 2 um waist at 10 um gives exp(-50)
-    b = beam_crosstalk(2e-6, 10e-6)
-    assert b["intensity_ratio"] == pytest.approx(math.exp(-50.0), rel=1e-12)
-    # the often-quoted 1.3e-14 suppression corresponds to r/w0 = 4
-    b = beam_crosstalk(2.5e-6, 10e-6)
-    assert b["intensity_ratio"] == pytest.approx(1.3e-14, rel=0.05)
 
 
 def test_stark_addressing_anchor():

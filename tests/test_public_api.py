@@ -21,8 +21,7 @@ TREES = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
 # numbers but no scenario runs yet; each one is to be exposed through
 # `ionsim run` or deleted, and then dropped from this list
 TEST_ONLY = {
-    "beam_crosstalk", "bfield_modulation", "cross_mode_growth",
-    "detection_false_negative", "displacement_drive", "exchange_time",
+    "bfield_modulation", "cross_mode_growth", "exchange_time",
     "frequency_sensitivities", "micromotion_suppression",
     "projection_noise_stability", "radiative_decay_rate",
     "ramsey_probability", "recoil_frequency", "shot_noise_floor",

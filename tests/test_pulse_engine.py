@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.stats import poisson
 
 from ionsim.coupling import CouplingParams, rabi_frequency
 from ionsim.errors import (
@@ -41,7 +40,6 @@ from ionsim.pulse_engine import (
     apply_pulse,
     cn_gate_single_pulse,
     cn_gate_three_pulse,
-    displacement_drive,
     gate_fidelity,
     noisy_sequence_fidelity,
     prepare_max_entangled,
@@ -578,38 +576,6 @@ def test_prepare_max_entangled_family():
         prepare_max_entangled(1)
     with pytest.raises(RegisterSizeError):
         prepare_max_entangled(13)
-
-
-# ------------------------------------------------------------ displacement
-
-
-def test_displacement_identity_and_inverse():
-    st = make_state("fock", n_max=20)
-    same = displacement_drive(st, 1.0 + 2.0j, 0.0)
-    assert np.max(np.abs(same.amplitudes - st.amplitudes)) < 1e-15
-    rng = np.random.default_rng(11)
-    psi = random_state(rng, 30, top_empty=22)
-    fwd = displacement_drive(psi, 0.9 - 0.4j, 1.0)
-    back = displacement_drive(fwd, -(0.9 - 0.4j), 1.0)
-    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-9
-    with pytest.raises(RangeError):
-        displacement_drive(st, 1.0, -1.0)
-
-
-def test_displacement_vacuum_to_coherent():
-    st = make_state("fock", n_max=60)
-    out = displacement_drive(st, 2.0, 1.0)
-    P = np.abs(out.amplitudes[:61]) ** 2
-    ref = poisson.pmf(np.arange(61), 4.0)
-    assert 0.5 * np.sum(np.abs(P - ref)) < 1e-6
-    # spin-up block untouched
-    assert np.max(np.abs(out.amplitudes[61:])) < 1e-15
-
-
-def test_displacement_truncation_guard():
-    st = make_state("fock", n_max=12)
-    with pytest.raises(TruncationError):
-        displacement_drive(st, 6.0, 1.0)
 
 
 # ------------------------------------------------------- noisy sequences

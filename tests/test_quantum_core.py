@@ -18,7 +18,6 @@ from ionsim.quantum_core import (
     SPIN_DOWN,
     SPIN_UP,
     apply_unitary,
-    detection_false_negative,
     index_of,
     make_state,
     overlap,
@@ -194,21 +193,6 @@ def test_overlap_dimension_mismatch():
     b = make_state("fock", n_max=4)
     with pytest.raises(DimensionError):
         overlap(a, b)
-
-
-# ---------------------------------------------------------------------------
-# detection
-
-
-def test_detection_false_negative_values():
-    assert detection_false_negative(0.0) == 1.0
-    assert detection_false_negative(10.0) == pytest.approx(4.54e-5, rel=1e-3)
-    assert abs(detection_false_negative(10.0) / 4.5e-5 - 1.0) < 0.01
-    v = detection_false_negative(100.0)
-    assert v == pytest.approx(3.72e-44, rel=1e-2)
-    assert abs(v / 4e-44 - 1.0) < 0.10
-    with pytest.raises(RangeError):
-        detection_false_negative(-1.0)
 
 
 # ---------------------------------------------------------------------------

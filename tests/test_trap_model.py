@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import epsilon_0, hbar, k as k_B
 from scipy.integrate import solve_ivp
 
@@ -28,15 +29,17 @@ from ionsim.trap_model import (
     collision_rates,
     critical_anisotropy,
     cross_mode_growth,
-    endcap_voltage_for_frequency,
     exchange_time,
     frequency_sensitivities,
-    heating_time_estimate,
     length_scale,
     mathieu_beta,
     mathieu_trajectory,
     micromotion_suppression,
+    patch_heating_time,
+    resistive_heating_time,
     secular_frequencies,
+    series_inductance,
+    stray_field_heating_time,
 )
 
 U_KG = 1.66053906660e-27
@@ -52,7 +55,7 @@ def make_params(q_x=0.2, nu_z=1.0e6, nu_rf=100.0e6, R=200e-6, Ur=0.0,
         kappa = 1.0 / 0.3e-3**2
     OmegaT = TWO_PI * nu_rf
     V0 = q_x * mass * OmegaT**2 * R**2 / (2.0 * charge)
-    U0 = endcap_voltage_for_frequency(TWO_PI * nu_z, kappa, charge, mass)
+    U0 = mass * (TWO_PI * nu_z) ** 2 / (2.0 * kappa * charge)  # omega_z^2 = 2 kappa q U0/m
     return TrapParams(V0=V0, Ur=Ur, U0=U0, OmegaT=OmegaT, R=R, kappa=kappa,
                       charge=charge, mass=mass)
 
@@ -115,10 +118,14 @@ def test_secular_frequencies_basic_relations():
 
 
 def test_endcap_voltage_inverse_check():
-    # 9 u ion, kappa = (0.3 mm)^-2, 10 MHz axial target: about 17 V
-    U0 = endcap_voltage_for_frequency(TWO_PI * 10e6, 1.0 / 0.3e-3**2, E_C, M_BE)
+    # 9 u ion, kappa = (0.3 mm)^-2, 10 MHz axial target: about 17 V, and
+    # the trap built on it returns the target axial frequency
+    U0 = M_BE * (TWO_PI * 10e6) ** 2 / (2.0 * (1.0 / 0.3e-3**2) * E_C)
     assert U0 == pytest.approx(16.573, rel=1e-3)
     assert abs(U0 / 17.0 - 1.0) < 0.03
+    p = make_params(q_x=0.2, nu_z=10e6)
+    assert p.U0 == U0
+    assert secular_frequencies(p).omega_z == pytest.approx(TWO_PI * 10e6, rel=1e-12)
 
 
 def test_zero_endcap_gives_pure_radial_confinement():
@@ -388,62 +395,47 @@ def test_micromotion_series_vs_bessel_small_phi():
 
 
 def test_resistive_heating_reference():
-    est = heating_time_estimate(
-        "resistive", r=0.0415, T=300.0, omega_z=TWO_PI * 20e6, ell_L=6.0e4
-    )
-    assert est.t_star == pytest.approx(4.626, rel=1e-3)
-    assert abs(est.t_star / 4.6 - 1.0) < 0.05
+    t = resistive_heating_time(r=0.0415, T=300.0, omega_z=TWO_PI * 20e6, ell_L=6.0e4)
+    assert t == pytest.approx(4.626, rel=1e-3)
+    assert abs(t / 4.6 - 1.0) < 0.05
 
 
 def test_resistive_inductance_from_geometry():
     # 9 u ion between electrodes 260 um apart, coupling efficiency 0.8
-    est = heating_time_estimate(
-        "resistive", r=0.0415, T=300.0, omega_z=TWO_PI * 20e6,
-        mass=M_BE, d=260e-6, charge=E_C, alpha=0.8,
-    )
-    assert est.details["ell_L"] == pytest.approx(6.149e4, rel=1e-3)
-    assert abs(est.details["ell_L"] / 6.0e4 - 1.0) < 0.03
+    ell = series_inductance(mass=M_BE, d=260e-6, charge=E_C, alpha=0.8)
+    assert ell == pytest.approx(6.149e4, rel=1e-3)
+    assert abs(ell / 6.0e4 - 1.0) < 0.03
+    assert series_inductance(M_BE, 260e-6, E_C) == ell
 
 
 def test_quality_factor_form():
-    # cold high-Q mechanical mode: t* = hbar Q / (k_B T)
-    est = heating_time_estimate("resistive", Q=2e4, T=4.0)
-    assert est.t_star == pytest.approx(3.82e-8, rel=0.01)
-
-
-def test_resistive_missing_inputs():
-    with pytest.raises(ModelInputError):
-        heating_time_estimate("resistive", r=0.0415, T=300.0)
-    with pytest.raises(ModelInputError):
-        heating_time_estimate("resistive", r=0.0415, omega_z=1e7, ell_L=6e4)
+    # cold high-Q mechanical mode: t* = hbar Q / (k_B T) with Q = omega ell / r
+    Q, r, w = 2e4, 0.0415, TWO_PI * 20e6
+    t = resistive_heating_time(r=r, T=4.0, omega_z=w, ell_L=Q * r / w)
+    assert t == pytest.approx(3.82e-8, rel=0.01)
+    assert t == pytest.approx(hbar * Q / (k_B * 4.0), rel=1e-14)
 
 
 def test_stray_field_heating_reference():
-    est = heating_time_estimate(
-        "stray_field", mass=M_BE, charge=E_C, omega_z=TWO_PI * 10e6,
-        S_U=1e-18, U0=17.0, E_s=100.0,
-    )
-    assert est.t_star == pytest.approx(445.9, rel=1e-3)
-    assert abs(est.t_star / 430.0 - 1.0) < 0.05
-    # computing U0 from kappa instead lands on the same answer within 11%
-    est2 = heating_time_estimate(
-        "stray_field", mass=M_BE, charge=E_C, omega_z=TWO_PI * 10e6,
-        S_U=1e-18, kappa=1.0 / 0.3e-3**2, E_s=100.0,
-    )
-    assert est2.details["U0"] == pytest.approx(16.573, rel=1e-3)
-    assert abs(est2.t_star / 430.0 - 1.0) < 0.05
+    t = stray_field_heating_time(mass=M_BE, charge=E_C, omega_z=TWO_PI * 10e6,
+                                 S_U=1e-18, U0=17.0, E_s=100.0)
+    assert t == pytest.approx(445.9, rel=1e-3)
+    assert abs(t / 430.0 - 1.0) < 0.05
+    # the endcap potential that gives 10 MHz with kappa = (0.3 mm)^-2
+    # lands on the same answer within 11%
+    U0 = M_BE * (TWO_PI * 10e6) ** 2 / (2.0 * (1.0 / 0.3e-3**2) * E_C)
+    t2 = stray_field_heating_time(mass=M_BE, charge=E_C, omega_z=TWO_PI * 10e6,
+                                  S_U=1e-18, U0=U0, E_s=100.0)
+    assert abs(t2 / 430.0 - 1.0) < 0.05
 
 
 def test_patch_model_reference():
-    est = heating_time_estimate(
-        "patch", theta=0.13, D=1e-15, kappa_patch=3.0, r_a=10e-9,
-        a_p=130e-6, omega_z=TWO_PI * 11e6, ell_L=6.2e4,
-    )
-    assert est.details["nu_c"] == pytest.approx(2.367e-7, rel=1e-3)
-    assert abs(est.details["nu_c"] / 2.4e-7 - 1.0) < 0.05
-    assert est.t_star == pytest.approx(29.37, rel=1e-3)
-    assert abs(est.t_star / 30.0 - 1.0) < 0.20
-    assert est.details["note"] == "order-of-magnitude model"
+    t = patch_heating_time(theta=0.13, D=1e-15, kappa_patch=3.0, r_a=10e-9,
+                           a_p=130e-6, omega_z=TWO_PI * 11e6, ell_L=6.2e4)
+    assert t == pytest.approx(29.37, rel=1e-3)
+    assert abs(t / 30.0 - 1.0) < 0.20
+    with pytest.raises(RangeError):
+        patch_heating_time(0.13, 1e-15, 3.0, 10e-9, 130e-6, 0.0, 6.2e4)
 
 
 def test_patch_model_inverse_noise_density():
@@ -459,33 +451,84 @@ def test_heating_scales_linearly_with_omega():
     rng = np.random.default_rng(7)
     for _ in range(5):
         c = rng.uniform(0.5, 5.0)
-        a = heating_time_estimate("resistive", r=0.04, T=300.0,
-                                  omega_z=1e7, ell_L=6e4).t_star
-        b = heating_time_estimate("resistive", r=0.04, T=300.0,
-                                  omega_z=c * 1e7, ell_L=6e4).t_star
+        a = resistive_heating_time(r=0.04, T=300.0, omega_z=1e7, ell_L=6e4)
+        b = resistive_heating_time(r=0.04, T=300.0, omega_z=c * 1e7, ell_L=6e4)
         assert b == pytest.approx(c * a, rel=1e-12)
 
 
-def test_unknown_model_rejected():
-    with pytest.raises(ModelInputError):
-        heating_time_estimate("johnson", T=300.0)
+# each estimator against its closed form written out here term by term;
+# every input is a physical scale times a factor drawn from [1e-3, 1e3]
+_factor = st.floats(1e-3, 1e3)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-14 * abs(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_factor] * 7))
+def test_resistive_estimator_matches_its_closed_form(f):
+    m, q, d, alpha = M_BE * f[0], E_C * f[1], 260e-6 * f[2], 0.8 * f[3]
+    r, T, w = 0.0415 * f[4], 300.0 * f[5], TWO_PI * 20e6 * f[6]
+    ell = series_inductance(m, d, q, alpha)
+    assert _close(ell, m * d**2 / (alpha * q) ** 2)
+    t = resistive_heating_time(r, T, w, ell)
+    assert _close(t, hbar * w * ell / (k_B * T * r))
+    assert _close(t, hbar * (w * ell / r) / (k_B * T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_factor] * 6))
+def test_stray_field_estimator_matches_its_closed_form(f):
+    m, q, w = M_BE * f[0], E_C * f[1], TWO_PI * 10e6 * f[2]
+    S_U, U0, E_s = 1e-18 * f[3], 17.0 * f[4], 100.0 * f[5]
+    want = (4.0 * m * hbar * w / (q**2 * S_U)) * (U0 / E_s) ** 2
+    assert _close(stray_field_heating_time(m, q, w, S_U, U0, E_s), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_factor] * 7))
+def test_patch_estimator_matches_its_closed_form(f):
+    theta, D, kappa_p = 0.13 * f[0], 1e-15 * f[1], 3.0 * f[2]
+    r_a, a_p, w, ell = 10e-9 * f[3], 130e-6 * f[4], TWO_PI * 11e6 * f[5], 6.2e4 * f[6]
+    nu = w / (2.0 * math.pi)
+    S = 4.0 * theta * math.sqrt(D) * (kappa_p * r_a) ** 2 / (3.0 * a_p**3) * nu**-1.5
+    want = 4.0 * hbar * w * ell / S
+    assert _close(patch_heating_time(theta, D, kappa_p, r_a, a_p, w, ell), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_factor] * 6))
+def test_collision_rates_match_their_closed_forms(f):
+    alpha, m_gas = 0.8023e-30 * f[0], 2.0159 * U_KG * f[1]
+    pressure, T, m_ion, q = 1e-8 * f[2], 300.0 * f[3], M_BE * f[4], E_C * f[5]
+    got = collision_rates(alpha, m_gas, pressure, T, m_ion, charge=q)
+    mu = m_gas * m_ion / (m_gas + m_ion)
+    n = pressure / (k_B * T)
+    k_lan = q * math.sqrt(math.pi * alpha / (epsilon_0 * mu))
+    v_t = math.sqrt(2.0 * k_B * T / mu)
+    k_el = 1.23e5 * alpha ** (2.0 / 3.0) * v_t ** (1.0 / 3.0)
+    for value, want in ((got.k_langevin, k_lan), (got.gamma_langevin, n * k_lan),
+                        (got.k_elastic, k_el), (got.gamma_elastic, n * k_el),
+                        (got.v_thermal, v_t)):
+        assert _close(value, want)
 
 
 # ---------------------------------------------------------------------------
 # collisions
 
 
-H2 = {"polarizability": 0.8023e-30, "mass": 2.0159 * U_KG}
+H2 = dict(polarizability=0.8023e-30, gas_mass=2.0159 * U_KG)
 
 
 def test_langevin_rate_constant_reference():
-    r = collision_rates(H2, 1e-8, 300.0, M_BE)
+    r = collision_rates(**H2, pressure=1e-8, T=300.0, ion_mass=M_BE)
     assert r.k_langevin == pytest.approx(1.634e-15, rel=1e-3)  # m^3/s
     assert abs(r.k_langevin / 1.64e-15 - 1.0) < 0.02
 
 
 def test_collision_rates_reference():
-    r = collision_rates(H2, 1e-8, 300.0, M_BE)
+    r = collision_rates(**H2, pressure=1e-8, T=300.0, ion_mass=M_BE)
     assert abs(r.gamma_langevin / 0.004 - 1.0) < 0.10
     assert abs(r.k_elastic / 1.24e-14 - 1.0) < 0.10
     assert abs(r.gamma_elastic / 0.03 - 1.0) < 0.10
@@ -493,7 +536,7 @@ def test_collision_rates_reference():
 
 
 def test_zero_pressure_zero_rates():
-    r = collision_rates(H2, 0.0, 300.0, M_BE)
+    r = collision_rates(**H2, pressure=0.0, T=300.0, ion_mass=M_BE)
     assert r.gamma_langevin == 0.0
     assert r.gamma_elastic == 0.0
     assert r.k_langevin > 0.0
