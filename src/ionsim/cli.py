@@ -110,6 +110,12 @@ def _require(params: dict, keys, op: str) -> None:
             raise ConfigError(f"params.{k}: required for op '{op}'")
 
 
+def _require_positive(block: dict, keys, path: str) -> None:
+    for k in keys:
+        if block[k] is not None and block[k] <= 0:
+            raise ConfigError(f"{path}.{k}: must be > 0")
+
+
 def _diag_density(init: dict) -> DensityMatrix:
     n_max = init["n_max"]
     if init["type"] == "thermal":
@@ -474,6 +480,7 @@ def _run_heat(p: dict, seed: int) -> RunResult:
     rows, metrics = [], {}
     if p["resistive"] is not None:
         rs = p["resistive"]
+        _require_positive(rs, ("ell_L", "d"), "params.resistive")
         if rs["ell_L"] is not None:
             for k in ("d", "alpha"):
                 if rs[k] is not None:
@@ -497,6 +504,7 @@ def _run_heat(p: dict, seed: int) -> RunResult:
         metrics["stray_field_t_star_s"] = t
     if p["patch"] is not None:
         pa = p["patch"]
+        _require_positive(pa, ("ell_L",), "params.patch")
         t = patch_heating_time(pa["theta"], pa["D"], pa["kappa_patch"],
                                pa["r_a"], pa["a_p"], pa["omega_z"], pa["ell_L"])
         rows.append(("patch_t_star", t, "s"))

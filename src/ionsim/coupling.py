@@ -37,16 +37,14 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class ModeEnsemble:
-    """Collection of motional modes seen by one ion.
+    """Spectator motional modes seen by one ion.
 
     etas and nbars are per-mode Lamb-Dicke parameters and thermal mean
-    occupations. k, when given, is the index of the logic mode, which is
-    excluded from the spectator statistics.
+    occupations.
     """
 
     etas: np.ndarray
     nbars: np.ndarray
-    k: int | None = None
 
     def __post_init__(self):
         e = np.asarray(self.etas, dtype=float)
@@ -57,12 +55,6 @@ class ModeEnsemble:
             raise RangeError("mode parameters must be non-negative")
         object.__setattr__(self, "etas", e)
         object.__setattr__(self, "nbars", n)
-
-    def spectators(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.k is None:
-            return self.etas, self.nbars
-        keep = np.arange(len(self.etas)) != self.k
-        return self.etas[keep], self.nbars[keep]
 
 
 def _laguerre_rows(count: int, alpha: float, x):
@@ -101,53 +93,34 @@ def ladder(dn: int, count: int, c: CouplingParams) -> np.ndarray:
     )
 
 
-def rabi_frequency(
-    n_hi: int, n_lo: int, c: CouplingParams, mode: str = "exact"
-) -> float:
+def rabi_frequency(n_hi: int, n_lo: int, c: CouplingParams) -> float:
     """Spin-motion matrix element between Fock levels n_hi and n_lo.
 
     Symmetric in its level arguments. With n< = min, n> = max and
-    dn = |n_hi - n_lo|:
+    dn = |n_hi - n_lo| it is
 
-    mode="exact"
         Omega * exp(-eta^2/2) * sqrt(n<!/n>!) * eta^dn * L_{n<}^{dn}(eta^2),
-        the n< entry of ladder(dn, n< + 1, c).
-    mode="lamb_dicke"
-        Leading order in eta: Omega * eta^dn * sqrt(n>!/n<!) / dn!
-        (carrier Omega, first sidebands Omega*eta*sqrt(n>), ...).
+
+    the n< entry of ladder(dn, n< + 1, c).
     """
     if n_hi < 0 or n_lo < 0:
         raise RangeError("Fock labels must be >= 0")
-    n_lt, n_gt = min(n_hi, n_lo), max(n_hi, n_lo)
-    dn = n_gt - n_lt
-    if mode == "exact":
-        return float(ladder(dn, n_lt + 1, c)[n_lt])
-    if mode == "lamb_dicke":
-        log_ratio = 0.5 * (gammaln(n_gt + 1) - gammaln(n_lt + 1))
-        if c.eta == 0 and dn > 0:
-            return 0.0
-        return c.Omega * c.eta**dn * math.exp(log_ratio - gammaln(dn + 1))
-    raise ModelInputError(f"unknown mode '{mode}'")
+    n_lt = min(n_hi, n_lo)
+    return float(ladder(abs(n_hi - n_lo), n_lt + 1, c)[n_lt])
 
 
 def _safe_log(x: float) -> float:
     return math.log(x) if x > 0 else 0.0
 
 
-def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> list[float]:
+def magic_eta(level_n: int, k: int, m: int) -> list[float]:
     """Confinement parameters where a carrier pulse flips exactly one Fock level.
 
     Takes the real roots x = eta^2 in (0,1) of the polynomial L_n(x) - r
-    (numpy's Laguerre-series roots), where the target ratio r of the two
-    carrier matrix elements is
-
-    branch="flip_excited" (default)
-        r = (2k+1)/(2m), requiring m > k >= 0: a pulse of m full periods
-        on the (0,0) element is a half-integer number of periods on the
-        (n,n) element, flipping |n> and restoring |0>.
-    branch="flip_ground"
-        the reciprocal assignment r = 2m/(2k+1), requiring k >= m >= 1:
-        the roles of the two levels swap.
+    (numpy's Laguerre-series roots), where r = (2k+1)/(2m), m > k >= 0,
+    is the target ratio of the (n,n) and (0,0) carrier matrix elements: a
+    pulse of m full periods on the (0,0) element is a half-integer number
+    of periods on the (n,n) element, flipping |n> and restoring |0>.
 
     Returns the sorted real roots; each is checked to reproduce the
     target ratio through rabi_frequency to 1e-12.
@@ -156,16 +129,9 @@ def magic_eta(level_n: int, k: int, m: int, branch: str = "flip_excited") -> lis
     """
     if level_n not in (1, 2, 3):
         raise RangeError("level_n must be 1, 2 or 3")
-    if branch == "flip_excited":
-        if not (m > k >= 0):
-            raise RangeError("flip_excited branch needs m > k >= 0")
-        r = (2 * k + 1) / (2 * m)
-    elif branch == "flip_ground":
-        if not (k >= m >= 1):
-            raise RangeError("flip_ground branch needs k >= m >= 1")
-        r = (2 * m) / (2 * k + 1)
-    else:
-        raise ModelInputError(f"unknown branch '{branch}'")
+    if not (m > k >= 0):
+        raise RangeError("magic_eta needs m > k >= 0")
+    r = (2 * k + 1) / (2 * m)
 
     xs = (np.polynomial.Laguerre.basis(level_n) - r).roots()
     roots = sorted(math.sqrt(x) for x in xs[np.isreal(xs)].real if 0.0 < x < 1.0)
@@ -213,8 +179,7 @@ def debye_waller_stats(e: ModeEnsemble) -> DebyeWallerStats:
     fractional rms fluctuations, and (via prob_within) the probability
     that a single shot deviates by less than a given fraction.
     """
-    etas, nbars = e.spectators()
-    x = etas**2
+    x, nbars = e.etas**2, e.nbars
     mean = float(np.exp(-np.sum(x * (nbars + 0.5))))
     bessel_args = 2.0 * x * np.sqrt(nbars * (nbars + 1.0))
     prod = float(np.prod(i0(bessel_args)))

@@ -218,35 +218,16 @@ def mean_n_evolution(n0: float, b: BathParams, t):
 # decaying flop signals
 
 
-def _decay_rates(gamma_model, count: int) -> np.ndarray:
-    """Per-level decay constants gamma_n for n = 0..count-1.
-
-    None means no decay. A scalar gamma0 selects the default model
-    gamma0*sqrt(n+1); a callable is evaluated per level; a sequence is
-    taken verbatim (and must be long enough).
-    """
-    ns = np.arange(count)
-    if gamma_model is None:
-        return np.zeros(count)
-    if callable(gamma_model):
-        rates = np.asarray([float(gamma_model(int(n))) for n in ns], dtype=float)
-    elif np.isscalar(gamma_model):
-        rates = float(gamma_model) * np.sqrt(ns + 1.0)
-    else:
-        rates = np.asarray(gamma_model, dtype=float)
-        if rates.size < count:
-            raise DimensionError(
-                f"need {count} decay constants, got {rates.size}"
-            )
-        rates = rates[:count]
-    if np.any(rates < 0):
+def _decay_rates(gamma0: float, count: int) -> np.ndarray:
+    """Per-level decay constants gamma_n = gamma0*sqrt(n+1), n = 0..count-1."""
+    if gamma0 < 0:
         raise RangeError("decay constants must be >= 0")
-    return rates
+    return float(gamma0) * np.sqrt(np.arange(count) + 1.0)
 
 
 def rabi_decay_signal(
     populations,
-    gamma_model,
+    gamma_model: float,
     coupling: CouplingParams,
     tau_grid,
 ) -> RabiSignal:
@@ -255,7 +236,7 @@ def rabi_decay_signal(
     P_down(tau) = 1/2 * (1 + sum_n P_n e^(-gamma_n tau) cos(2 Omega_{n+1,n} tau))
 
     with exact matrix elements and phenomenological per-level decay
-    constants from gamma_model (see _decay_rates for accepted forms).
+    constants gamma_n = gamma0*sqrt(n+1), gamma0 = gamma_model.
     """
     P = np.asarray(populations, dtype=float)
     if P.ndim != 1 or P.size == 0:
@@ -277,12 +258,13 @@ def invert_populations(
     sig: RabiSignal,
     coupling: CouplingParams,
     n_cut: int,
-    gamma_model=None,
+    gamma_model: float,
 ) -> dict:
     """Recover Fock populations from a decaying flop signal.
 
     Nonnegative least squares on the known-frequency basis
-    e^(-gamma_n tau) cos(2 Omega_{n+1,n} tau), n = 0..n_cut. The grid
+    e^(-gamma_n tau) cos(2 Omega_{n+1,n} tau), n = 0..n_cut, with
+    gamma_n = gamma0*sqrt(n+1) and gamma0 = gamma_model. The grid
     must sample the fastest component at Nyquist rate or better, and
     adjacent ladder frequencies must be separated by at least
     2*pi / (observation span) or the basis is declared unresolvable

@@ -3,9 +3,10 @@
 Every error raised deliberately by library code derives from IonsimError,
 so callers (and the command-line runner) can separate physics/model errors
 from programming errors. Two warning types exist: TruncationWarning signals
-that a truncated oscillator basis is leaking probability (escalates to
-TruncationError under strict mode), and RegimeWarning flags inputs that
-stretch a model assumption without invalidating the run outright.
+that a truncated oscillator basis is leaking probability, and RegimeWarning
+flags inputs that stretch a model assumption without invalidating the run
+outright. A warnings filter set to "error" (as `ionsim run --strict`
+installs) raises either warning itself.
 """
 
 

@@ -2,7 +2,7 @@
 
 Two layers share this module. The physical layer acts on a single ion's
 (spin x oscillator) state: each pulse is a block-diagonal unitary built
-from the exact detuned two-level propagator, one block per coupled
+from the exact resonant two-level propagator, one block per coupled
 |down,n> <-> |up,n'> pair, each at its own matrix element. The symbolic
 layer treats a register of L ions as qubits sharing one bus oscillator
 mode and composes idealized gates (controlled-not between ions, register
@@ -41,7 +41,6 @@ from .errors import (
     RegisterSizeError,
 )
 from .quantum_core import (
-    DEFAULT_EPS_TRUNC,
     SPIN_DOWN,
     SPIN_UP,
     QuantumState,
@@ -68,7 +67,7 @@ class PulseSpec:
     Parameters
     ----------
     transition : {"carrier", "red", "blue"}
-        Resonance class; sidebands change the Fock level by `order`.
+        Resonance class; the first sidebands change the Fock level by one.
     theta : float
         Pulse area in rad on the reference pair (twice the Rabi angle,
         so theta=pi inverts that pair).
@@ -76,15 +75,11 @@ class PulseSpec:
         Base rate and Lamb-Dicke parameter of the driven mode.
     phi : float or array
         Field phase in rad, or one phase per entry of a batch.
-    detuning_Delta : float
-        Offset from the resonance class in rad/s, shared by all pairs.
-    order : int
-        Sideband order, >= 1; ignored for the carrier.
     zeta, phi_err : float or array
         Injected amplitude (area) and phase errors, or one per trial.
     reference_pair : (int, int), optional
         Fock levels (upper-spin n, lower-spin n) whose matrix element
-        converts area to duration. Defaults: (0,0) carrier, (order,0)
+        converts area to duration. Defaults: (0,0) carrier, (1,0)
         sidebands.
     """
 
@@ -92,8 +87,6 @@ class PulseSpec:
     theta: float
     coupling: CouplingParams
     phi: float = 0.0
-    detuning_Delta: float = 0.0
-    order: int = 1
     zeta: float = 0.0
     phi_err: float = 0.0
     reference_pair: tuple | None = None
@@ -105,17 +98,14 @@ class PulseSpec:
             )
         if self.theta < 0:
             raise RangeError("pulse area theta must be >= 0")
-        if self.order < 1:
-            raise RangeError("sideband order must be >= 1")
         if self.reference_pair is not None:
             a, b = self.reference_pair
             if a < 0 or b < 0:
                 raise ModelInputError("reference pair levels must be >= 0")
-            dn = 0 if self.transition == "carrier" else self.order
-            if abs(a - b) != dn:
+            if abs(a - b) != (0 if self.transition == "carrier" else 1):
                 raise ModelInputError(
                     f"reference pair {self.reference_pair} does not match a "
-                    f"{self.transition} transition of order {self.order}"
+                    f"{self.transition} transition"
                 )
 
 
@@ -123,27 +113,24 @@ class PulseSpec:
 # two-level building block
 
 
-def _rotation_block(Omega, Delta: float, t: float, phi: float, dn: int) -> np.ndarray:
-    """Detuned propagators of driven (upper, lower) pairs, interaction picture.
+def _rotation_block(Omega, t: float, phi: float, dn: int) -> np.ndarray:
+    """Resonant propagators of driven (upper, lower) pairs, interaction picture.
 
     Omega, t and phi may be arrays; the result stacks one 2x2 block per
-    entry of their broadcast, shape broadcast(Omega, t, phi) + (2, 2). A
-    pair with no generalized Rabi frequency (X = 0) gets the identity.
+    entry of their broadcast, shape broadcast(Omega, t, phi) + (2, 2):
+    cos(Omega t) on the diagonal and -i sin(Omega t) e^{+-i(phi + pi*dn/2)}
+    off it, the upper sign above the diagonal.
     """
-    X = np.hypot(Delta, 2.0 * np.asarray(Omega, dtype=float))
-    live = X > 0.0
-    ratio = np.divide(Delta, X, out=np.zeros_like(X), where=live)
-    w = np.divide(Omega, X, out=np.zeros_like(X), where=live)
-    half = 0.5 * X * t
-    c, s = np.cos(half), np.sin(half)
-    dphase = np.exp(-0.5j * Delta * t)
-    chi = 0.5 * Delta * t - phi - 0.5 * math.pi * dn
-    off = -2j * w * s
+    Omega = np.asarray(Omega, dtype=float)
+    half = np.abs(Omega) * t
+    c = np.cos(half)
+    off = -1j * np.sign(Omega) * np.sin(half)
+    chi = -phi - 0.5 * math.pi * dn
     U = np.empty(np.broadcast(off, chi).shape + (2, 2), dtype=complex)
-    U[..., 0, 0] = dphase * (c + 1j * ratio * s)
+    U[..., 0, 0] = c
     U[..., 0, 1] = off * np.exp(-1j * chi)
     U[..., 1, 0] = off * np.exp(1j * chi)
-    U[..., 1, 1] = dphase.conjugate() * (c - 1j * ratio * s)
+    U[..., 1, 1] = c
     return U
 
 
@@ -158,11 +145,11 @@ def _pulse_blocks(p: PulseSpec, n_max: int):
     # a negative area is the same pulse with its phase shifted by pi
     phi_tot = np.where(theta_eff < 0, p.phi + p.phi_err + math.pi, p.phi + p.phi_err)
     theta_eff = np.abs(theta_eff)
-    dn = 0 if p.transition == "carrier" else p.order
+    dn = 0 if p.transition == "carrier" else 1
 
     ref = p.reference_pair
     if ref is None:
-        ref = (0, 0) if p.transition == "carrier" else (p.order, 0)
+        ref = (dn, 0)
     if max(ref) > n_max:
         raise ModelInputError(f"reference pair {ref} exceeds n_max={n_max}")
     # pair n couples Fock levels n and n + dn; blue raises the upper spin's
@@ -175,7 +162,7 @@ def _pulse_blocks(p: PulseSpec, n_max: int):
         raise RangeError(f"reference pair {ref} has a vanishing matrix element")
     t = theta_eff / (2.0 * abs(Omega_ref))
     nu, nl = (n, n + dn) if p.transition == "red" else (n + dn, n)
-    blocks = _rotation_block(Omegas, p.detuning_Delta, t[..., None], phi_tot[..., None], dn)
+    blocks = _rotation_block(Omegas, t[..., None], phi_tot[..., None], dn)
     return n_max + 1 + nu, nl, blocks
 
 
@@ -199,36 +186,27 @@ def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
     return U
 
 
-def apply_pulse(state: QuantumState, p: PulseSpec, strict: bool = False) -> QuantumState:
+def apply_pulse(state: QuantumState, p: PulseSpec) -> QuantumState:
     """Apply one pulse to a state, or a batch of states, and return the result.
 
     The field phase is p.phi + p.phi_err; a pulse with one zeta, phi or
     phi_err per trial broadcasts against the state's batch axis. A
-    sideband pulse whose topmost coupled partner would sit above the Fock
-    truncation is refused (InvalidTransitionError) whenever the stranded
-    edge levels of any state carry population above 1e-12. The pulse acts
-    pair by pair; no full-space matrix is built. Population in the top two
-    Fock levels above DEFAULT_EPS_TRUNC warns, or raises TruncationError
-    when strict is set.
+    sideband pulse is refused (InvalidTransitionError) whenever the edge
+    level whose partner would sit above the Fock truncation carries
+    population above 1e-12 in any state. The pulse acts pair by pair; no
+    full-space matrix is built. Population in the top two Fock levels
+    above DEFAULT_EPS_TRUNC raises TruncationWarning.
     """
     if not isinstance(state, QuantumState):
         raise ModelInputError("apply_pulse acts on a QuantumState")
     n_max = state.n_max
     amps = state.amplitudes
     if p.transition != "carrier":
-        o = p.order
-        if o > n_max:
-            raise InvalidTransitionError(
-                f"order-{o} sideband needs n_max >= {o}, have {n_max}"
-            )
-        # edge levels whose partner lies above the truncation
+        # the edge level whose partner lies above the truncation
         spin = SPIN_DOWN if p.transition == "blue" else SPIN_UP
-        top = index_of(spin, n_max, n_max)
-        stranded = np.abs(amps[..., top - o + 1:top + 1]).reshape(-1, o) ** 2 > 1e-12
-        if stranded.any():
-            n = n_max - o + 1 + int(np.argmax(stranded.any(axis=0)))
+        if np.any(np.abs(amps[..., index_of(spin, n_max, n_max)]) ** 2 > 1e-12):
             raise InvalidTransitionError(
-                f"{p.transition} sideband of order {o} from ({spin},{n}) "
+                f"{p.transition} sideband from ({spin},{n_max}) "
                 f"would leave the truncation n_max={n_max}"
             )
     iu, il, blk = _pulse_blocks(p, n_max)
@@ -239,7 +217,7 @@ def apply_pulse(state: QuantumState, p: PulseSpec, strict: bool = False) -> Quan
     amps = np.broadcast_to(amps, up.shape[:-1] + amps.shape[-1:]).copy()
     amps[..., iu], amps[..., il] = up, lo
     out = QuantumState(amps, n_max)
-    truncation_guard(out.truncation_tail(), DEFAULT_EPS_TRUNC, strict)
+    truncation_guard(out.truncation_tail())
     return out
 
 
@@ -312,7 +290,7 @@ def cn_gate_three_pulse(aux_coupling: CouplingParams, phi_a: float = 0.0) -> Gat
 
     # internal levels: 0 = dn, 1 = up, 2 = aux; index = level*2 + bus n
     def carrier(phi):
-        blk = _rotation_block(1.0, 0.0, 0.25 * math.pi, phi, 0)  # pi/2 pulse
+        blk = _rotation_block(1.0, 0.25 * math.pi, phi, 0)  # pi/2 pulse
         M = np.eye(6, dtype=complex)
         M[:4, :4] = np.kron(blk[::-1, ::-1], np.eye(2))  # (up, dn) -> (dn, up)
         return M
@@ -445,7 +423,7 @@ def register_rotation(reg: RegisterState, ion: int, theta: float, phi: float) ->
     (down, up) order: the register mirrors the physical layer's phi sign.
     """
     lo, hi = _ion_rows(reg, ion)
-    U = _rotation_block(1.0, 0.0, 0.5 * theta, -phi, 0)[::-1, ::-1]
+    U = _rotation_block(1.0, 0.5 * theta, -phi, 0)[::-1, ::-1]
     out = reg.amps.copy()
     a_lo = reg.amps[lo, :]
     a_hi = reg.amps[hi, :]

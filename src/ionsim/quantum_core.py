@@ -126,29 +126,17 @@ class DensityMatrix:
         return DensityMatrix(self.rho.copy(), self.n_max, validate=False)
 
 
-def make_state(
-    kind: str,
-    n_max: int,
-    spin=SPIN_DOWN,
-    n: int = 0,
-    alpha: complex | None = None,
-    nbar: float | None = None,
-    eps_trunc: float = DEFAULT_EPS_TRUNC,
-):
+def make_state(kind: str, n_max: int, spin=SPIN_DOWN, n: int = 0,
+               nbar: float | None = None):
     """Construct a standard initial state.
 
     kind = "fock"
-        |spin, n>. Requires n <= n_max.
-    kind = "coherent"
-        Spin eigenstate times the coherent state of amplitude alpha,
-        truncated at n_max and renormalized. The Poisson weight beyond
-        n_max must stay below eps_trunc or TruncationError is raised.
+        QuantumState |spin, n>. Requires n <= n_max.
     kind = "thermal"
         Diagonal DensityMatrix with populations proportional to
         nbar^n/(1+nbar)^(n+1), renormalized over the kept levels. The
-        omitted geometric tail must stay below eps_trunc.
-
-    Returns QuantumState for "fock"/"coherent", DensityMatrix for "thermal".
+        omitted geometric tail must stay below DEFAULT_EPS_TRUNC or
+        TruncationError is raised.
     """
     if n_max < 1:
         raise RangeError("n_max must be >= 1")
@@ -157,29 +145,6 @@ def make_state(
     if kind == "fock":
         amps = np.zeros(2 * N, dtype=complex)
         amps[index_of(spin, n, n_max)] = 1.0
-        return QuantumState(amps, n_max)
-
-    if kind == "coherent":
-        if alpha is None:
-            raise ModelInputError("coherent state needs alpha")
-        a2 = abs(alpha) ** 2
-        # Poisson tail mass beyond n_max
-        tail = 1.0 - _poisson_cdf(n_max, a2)
-        if tail >= eps_trunc:
-            raise TruncationError(
-                f"coherent tail {tail:.2e} beyond n_max={n_max} exceeds {eps_trunc:.1e}"
-            )
-        if alpha == 0:
-            c = np.zeros(N, dtype=complex)
-            c[0] = 1.0
-        else:
-            ns = np.arange(N)
-            log_c = -0.5 * a2 + ns * np.log(complex(alpha)) - 0.5 * _log_factorial(ns)
-            c = np.exp(log_c)
-            c = c / np.linalg.norm(c)
-        amps = np.zeros(2 * N, dtype=complex)
-        s = _SPIN_INDEX[spin]
-        amps[s * N : (s + 1) * N] = c
         return QuantumState(amps, n_max)
 
     if kind == "thermal":
@@ -193,9 +158,10 @@ def make_state(
         else:
             x = nbar / (1.0 + nbar)
             tail = x**N
-            if tail >= eps_trunc:
+            if tail >= DEFAULT_EPS_TRUNC:
                 raise TruncationError(
-                    f"thermal tail {tail:.2e} beyond n_max={n_max} exceeds {eps_trunc:.1e}"
+                    f"thermal tail {tail:.2e} beyond n_max={n_max} "
+                    f"exceeds {DEFAULT_EPS_TRUNC:.1e}"
                 )
             p = (1.0 - x) * x ** np.arange(N)
             p = p / p.sum()
@@ -204,54 +170,27 @@ def make_state(
     raise ModelInputError(f"unknown state kind '{kind}'")
 
 
-def _log_factorial(ns: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(ns, dtype=float) + 1.0)
-
-
-def _poisson_cdf(n: int, mean: float) -> float:
-    from scipy.special import gammaincc
-
-    # P(X <= n) for X ~ Poisson(mean)
-    return float(gammaincc(n + 1.0, mean))
-
-
-def apply_unitary(
-    state,
-    U: np.ndarray,
-    eps_trunc: float = DEFAULT_EPS_TRUNC,
-    strict: bool = False,
-):
-    """Apply a unitary to a QuantumState (U psi) or DensityMatrix (U rho U+).
+def apply_unitary(state: QuantumState, U: np.ndarray) -> QuantumState:
+    """Apply a unitary to one QuantumState and return U psi.
 
     The matrix must be unitary to 1e-10 (checked under __debug__). After
-    the product, population in the top two Fock levels above eps_trunc
-    triggers TruncationWarning, or TruncationError when strict is set.
+    the product, population in the top two Fock levels above
+    DEFAULT_EPS_TRUNC raises TruncationWarning.
     """
-    U = np.asarray(U, dtype=complex)
-    if isinstance(state, QuantumState):
-        if state.amplitudes.ndim != 1:
-            raise DimensionError("apply_unitary acts on one state, not a batch")
-        dim = state.dim
-    elif isinstance(state, DensityMatrix):
-        dim = state.n_max + 1
-    else:
+    if not isinstance(state, QuantumState):
         raise ModelInputError(f"cannot apply a unitary to {type(state).__name__}")
-    if U.shape != (dim, dim):
-        raise DimensionError(f"operator shape {U.shape} does not match dimension {dim}")
+    if state.amplitudes.ndim != 1:
+        raise DimensionError("apply_unitary acts on one state, not a batch")
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (state.dim, state.dim):
+        raise DimensionError(
+            f"operator shape {U.shape} does not match dimension {state.dim}"
+        )
     require_unitary(U)
-
-    if isinstance(state, QuantumState):
-        out = QuantumState(U @ state.amplitudes, state.n_max)
-        if abs(out.norm() - 1.0) > 1e-12 and abs(state.norm() - 1.0) <= 1e-12:
-            raise ModelInputError("unitary application failed to preserve the norm")
-        truncation_guard(out.truncation_tail(), eps_trunc, strict)
-        return out
-
-    out_rho = U @ state.rho @ U.conj().T
-    out = DensityMatrix(out_rho, state.n_max, validate=False)
-    truncation_guard(float(np.sum(np.diag(out.rho).real[-2:])), eps_trunc, strict)
+    out = QuantumState(U @ state.amplitudes, state.n_max)
+    if abs(out.norm() - 1.0) > 1e-12 and abs(state.norm() - 1.0) <= 1e-12:
+        raise ModelInputError("unitary application failed to preserve the norm")
+    truncation_guard(out.truncation_tail())
     return out
 
 
@@ -265,14 +204,15 @@ def require_unitary(U: np.ndarray) -> None:
             raise ModelInputError(f"matrix is not unitary (defect {defect:.2e})")
 
 
-def truncation_guard(tail: float, eps_trunc: float, strict: bool) -> None:
-    """Warn (TruncationWarning), or raise TruncationError when strict, if
-    the top two Fock levels hold more than eps_trunc."""
-    if tail > eps_trunc:
-        msg = f"population {tail:.2e} in the top two Fock levels (guard {eps_trunc:.1e})"
-        if strict:
-            raise TruncationError(msg)
-        warnings.warn(msg, TruncationWarning)
+def truncation_guard(tail: float) -> None:
+    """TruncationWarning if the top two Fock levels hold more than
+    DEFAULT_EPS_TRUNC; a warnings filter set to "error" raises it."""
+    if tail > DEFAULT_EPS_TRUNC:
+        warnings.warn(
+            f"population {tail:.2e} in the top two Fock levels "
+            f"(guard {DEFAULT_EPS_TRUNC:.1e})",
+            TruncationWarning,
+        )
 
 
 def overlap(a: QuantumState, b: QuantumState):

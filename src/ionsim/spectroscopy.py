@@ -2,10 +2,10 @@
 
 The fringe itself is composed from pulse_engine rotations so phase
 conventions stay consistent with the rest of the package. The stability
-functions are closed forms: projection-noise-limited frequency
-imprecision for independent and maximally entangled ensembles, and the
-optimum interrogation time when a drifting local oscillator caps how
-long the atoms may precess before the error signal is lost.
+analysis is closed form: the optimum interrogation time when a drifting
+local oscillator caps how long the atoms may precess before the error
+signal is lost, and the projection-noise-limited frequency imprecision
+of independent or maximally entangled ensembles at that time.
 
 Conventions: angular frequencies (rad/s) throughout; epsilon = 1/2 tags
 the independent ensemble and epsilon = 1 the maximally entangled one.
@@ -57,24 +57,6 @@ def ramsey_probability(
     return float(np.sum(np.abs(state.amplitudes[: n_max + 1]) ** 2))
 
 
-def projection_noise_stability(L: int, T_R: float, tau: float, entangled: bool = False) -> float:
-    """Projection-noise frequency imprecision L^-eps / sqrt(T_R tau).
-
-    eps = 1/2 for L independent atoms, eps = 1 for the maximally
-    entangled state (Heisenberg scaling: the entangled ensemble reaches
-    a target imprecision L times faster). Valid only for tau >= 10 T_R
-    (many fringes averaged); RangeError otherwise.
-    """
-    if L < 1:
-        raise RangeError("L must be >= 1")
-    if T_R <= 0:
-        raise RangeError("T_R must be > 0")
-    if tau < 10.0 * T_R:
-        raise RangeError(f"tau = {tau:.3e} must be >= 10*T_R = {10.0 * T_R:.3e}")
-    eps = 1.0 if entangled else 0.5
-    return float(L) ** (-eps) / math.sqrt(T_R * tau)
-
-
 @dataclass(frozen=True)
 class ClockParams:
     """Inputs of the locked-oscillator trade-off analysis.
@@ -83,8 +65,9 @@ class ClockParams:
     frequency wander over an averaging time t is C*t^n_exp. K2 is the
     servo time constant in units of T_R, K3 the demanded headroom
     between the atomic linewidth and the oscillator wander at T_R; both
-    must exceed 1 for the lock to close. epsilon picks the ensemble as
-    in projection_noise_stability. tau is the total averaging time.
+    must exceed 1 for the lock to close. epsilon is 1/2 for L independent
+    atoms and 1 for the maximally entangled state. tau is the total
+    averaging time.
     """
 
     L: int
@@ -134,8 +117,7 @@ def clock_lock_analysis(p: ClockParams, mode: str = "constrained_K3") -> dict:
 
     Both delta_omega forms are the projection-noise law
     L^-eps / sqrt(T_R tau) at the mode's own T_R, so it is computed
-    once from that law (without projection_noise_stability's
-    tau >= 10 T_R check, which an optimum T_R need not meet).
+    once from that law.
     """
     n = p.n_exp
     eps = p.epsilon

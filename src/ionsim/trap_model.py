@@ -27,7 +27,6 @@ from scipy.special import j0, zeta
 from .errors import (
     ConvergenceError,
     InstabilityError,
-    ModelInputError,
     RangeError,
 )
 
@@ -127,7 +126,7 @@ class CriticalAnisotropy:
     ratio_exact is the exact critical omega_r/omega_z from the transverse
     Hessian eigenvalue; fit_a/b/c are published power-law estimates
     0.73 L^0.86, 0.63 L^0.865 and 0.59 L^0.885; omega_r_bound (rad/s) is the
-    force-balance bound from the central spacing, when requested.
+    force-balance bound from the central spacing.
     """
 
     L: int
@@ -135,7 +134,7 @@ class CriticalAnisotropy:
     fit_a: float
     fit_b: float
     fit_c: float
-    omega_r_bound: float | None = None
+    omega_r_bound: float
 
 
 @dataclass(frozen=True)
@@ -371,12 +370,7 @@ def axial_normal_modes(g: ChainGeometry, omega_z: float) -> AxialModes:
     return AxialModes(frequencies=omega_z * np.sqrt(lam), vectors=vec)
 
 
-def critical_anisotropy(
-    L: int,
-    s_c: float | None = None,
-    charge: float | None = None,
-    mass: float | None = None,
-) -> CriticalAnisotropy:
+def critical_anisotropy(L: int, s_c: float, charge: float, mass: float) -> CriticalAnisotropy:
     """Zigzag stability threshold of an L-ion chain.
 
     The exact critical omega_r/omega_z is the square root of the largest
@@ -384,23 +378,19 @@ def critical_anisotropy(
     (exactly 1 for two ions and sqrt(12/5) for three). That matrix is
     (H - 1)/2, with H the dimensionless axial Hessian: the Coulomb term
     softens the transverse curvature by half as much as it stiffens the
-    axial one. The three published power-law fits are returned alongside.
-    If a central spacing s_c is given (with charge and mass), the
-    force-balance radial bound omega_r^2 = (7/(8 pi eps0)) zeta(3)
-    q^2/(m s_c^3) is evaluated too.
+    axial one. The three published power-law fits are returned alongside,
+    with the force-balance radial bound omega_r^2 = (7/(8 pi eps0)) zeta(3)
+    q^2/(m s_c^3) of an ion of the given charge and mass at central
+    spacing s_c.
     """
     if L < 2:
         raise RangeError("critical anisotropy needs L >= 2")
     u = _solve_chain(L)
     B = 0.5 * (_chain_hessian(u) - np.eye(L))
     ratio = math.sqrt(float(np.linalg.eigvalsh(B)[-1]))
-    bound = None
-    if s_c is not None:
-        if charge is None or mass is None:
-            raise ModelInputError("s_c bound needs charge and mass")
-        bound = math.sqrt(
-            7.0 / (8.0 * math.pi * epsilon_0) * zeta(3.0) * charge**2 / (mass * s_c**3)
-        )
+    bound = math.sqrt(
+        7.0 / (8.0 * math.pi * epsilon_0) * zeta(3.0) * charge**2 / (mass * s_c**3)
+    )
     return CriticalAnisotropy(
         L=L,
         ratio_exact=ratio,

@@ -645,6 +645,25 @@ def test_resistive_geometry_with_ell_L_exits_2(key, value, tmp_path, capsys):
     assert f"params.resistive.{key}: conflicts with ell_L" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block,key,value", [
+    ("resistive", "ell_L", -60000.0),
+    ("resistive", "ell_L", 0),
+    ("patch", "ell_L", 0.0),
+    ("patch", "ell_L", -62000.0),
+    ("resistive", "d", "0 um"),
+    ("resistive", "d", "-260 um"),
+], ids=["resistive_ell_L_negative", "resistive_ell_L_zero", "patch_ell_L_zero",
+        "patch_ell_L_negative", "resistive_d_zero", "resistive_d_negative"])
+def test_estimator_length_not_positive_exits_2(block, key, value, tmp_path, capsys):
+    body = _bundled("heat.estimators")
+    if key == "d":
+        del body["params"]["resistive"]["ell_L"]
+    body["params"][block][key] = value
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"params.{block}.{key}: must be > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", [{"alpha": 0.8}, {}], ids=["alpha_0.8", "alpha_absent"])
 def test_resistive_geometry_matches_ell_L_path(alpha, tmp_path, capsys):
     # a 9 u ion between electrodes 260 um apart: the inductance is about

@@ -271,7 +271,10 @@ def test_folded_kicks_match_the_matrix_replay():
     cfg = CoolingConfig(eta=0.1, omega_z=1.0, omega_R=0.05, gamma_rad=0.001,
                         pulse_strategy="randomized", cycles=20,
                         scatters_per_cycle=40)
-    init = make_state("thermal", nbar=1.0, n_max=11, eps_trunc=1e-3)
+    # nbar = 1 on 12 levels leaves a 2^-12 tail: the geometric weights
+    # renormalized over the kept levels, heavy at the top
+    p = 0.5 ** np.arange(12)
+    init = DensityMatrix(np.diag(p / p.sum()).astype(complex), 11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         res = sideband_cool(init, cfg, seed=3)

@@ -305,7 +305,7 @@ def test_mean_n_relaxation_rate_fit():
 def test_decay_signal_pure_cosine_without_damping():
     c = CouplingParams(Omega=1.0, eta=0.15)
     tau = np.linspace(0.0, 20.0, 400)
-    sig = rabi_decay_signal(np.array([1.0]), None, c, tau)
+    sig = rabi_decay_signal(np.array([1.0]), 0.0, c, tau)
     f0 = rabi_frequency(1, 0, c)
     ref = 0.5 * (1.0 + np.cos(2.0 * f0 * tau))
     assert np.abs(sig.P_down - ref).max() <= 1e-14
@@ -344,21 +344,21 @@ def test_decay_signal_rate_model_forms():
     c = CouplingParams(Omega=1.0, eta=0.1)
     tau = np.linspace(0.0, 5.0, 50)
     pops = np.array([0.6, 0.4])
-    a = rabi_decay_signal(pops, lambda n: 0.1 * math.sqrt(n + 1.0), c, tau)
-    b = rabi_decay_signal(pops, 0.1, c, tau)          # scalar scales as sqrt(n+1)
-    d = rabi_decay_signal(pops, [0.1, 0.1 * math.sqrt(2.0)], c, tau)
-    assert np.abs(a.P_down - b.P_down).max() <= 1e-15
-    assert np.abs(a.P_down - d.P_down).max() <= 1e-15
-    with pytest.raises(DimensionError):
-        rabi_decay_signal(pops, [0.1], c, tau)        # rate list too short
+    # level n decays at gamma0 * sqrt(n + 1)
+    sig = rabi_decay_signal(pops, 0.1, c, tau)
+    ref = 0.5 * (1.0 + sum(
+        p * np.exp(-0.1 * math.sqrt(n + 1.0) * tau)
+        * np.cos(2.0 * rabi_frequency(n + 1, n, c) * tau)
+        for n, p in enumerate(pops)))
+    assert np.abs(sig.P_down - ref).max() <= 1e-15
     with pytest.raises(RangeError):
         rabi_decay_signal(pops, -0.1, c, tau)
     with pytest.raises(ModelInputError):
-        rabi_decay_signal(np.array([0.8, 0.4]), None, c, tau)   # sum > 1
+        rabi_decay_signal(np.array([0.8, 0.4]), 0.0, c, tau)   # sum > 1
     with pytest.raises(ModelInputError):
-        rabi_decay_signal(np.array([-0.2, 0.5]), None, c, tau)
+        rabi_decay_signal(np.array([-0.2, 0.5]), 0.0, c, tau)
     with pytest.raises(DimensionError):
-        rabi_decay_signal(np.zeros((2, 2)), None, c, tau)
+        rabi_decay_signal(np.zeros((2, 2)), 0.0, c, tau)
 
 
 # ---------------------------------------------------------------- population inversion
@@ -400,7 +400,7 @@ def test_inversion_sampling_guards():
     with pytest.raises(IllConditionedError):
         invert_populations(sig2, c, n_cut=5, gamma_model=0.005)
     with pytest.raises(RangeError):
-        invert_populations(sig, c, n_cut=-1)
+        invert_populations(sig, c, n_cut=-1, gamma_model=0.005)
 
 
 def test_inversion_under_projection_noise():

@@ -21,7 +21,6 @@ from ionsim.errors import ModelInputError, RangeError
 from ionsim.spectroscopy import (
     ClockParams,
     clock_lock_analysis,
-    projection_noise_stability,
     ramsey_probability,
 )
 
@@ -69,31 +68,12 @@ def test_fringe_validation():
 # ---------------------------------------------------------------- projection noise
 
 
-def test_projection_noise_closed_form():
-    got = projection_noise_stability(100, 1.0, 100.0)
-    assert got == pytest.approx(1.0 / math.sqrt(100 * 1.0 * 100.0), rel=1e-12)
-    ent = projection_noise_stability(100, 1.0, 100.0, entangled=True)
-    assert got / ent == pytest.approx(10.0, rel=1e-12)       # sqrt(L) gain
-    # L = 1: entanglement buys nothing
-    assert projection_noise_stability(1, 1.0, 100.0) == projection_noise_stability(
-        1, 1.0, 100.0, entangled=True)
-
-
-def test_projection_noise_validation():
-    with pytest.raises(RangeError):
-        projection_noise_stability(0, 1.0, 100.0)
-    with pytest.raises(RangeError):
-        projection_noise_stability(10, 0.0, 100.0)
-    with pytest.raises(RangeError):
-        projection_noise_stability(10, 1.0, 9.9)             # tau below 10 T_R
-
-
 def test_projection_noise_matches_binomial_monte_carlo():
     # estimate the detuning from the fringe side over tau/T_R fringes,
     # 500 independent runs: the run-to-run spread must sit on the
-    # closed form within 10%
+    # projection-noise law L^-1/2 / sqrt(T_R tau) within 10%
     L, T_R, tau = 100, 1.0, 100.0
-    target = projection_noise_stability(L, T_R, tau)
+    target = L ** -0.5 / math.sqrt(T_R * tau)
     rng = np.random.default_rng(0)
     m = int(tau / T_R)
     estimates = []

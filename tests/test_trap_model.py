@@ -18,7 +18,6 @@ from scipy.integrate import solve_ivp
 from ionsim.errors import (
     ConvergenceError,
     InstabilityError,
-    ModelInputError,
     RangeError,
 )
 from ionsim.trap_model import (
@@ -319,15 +318,15 @@ def test_modes_reject_non_equilibrium_positions():
 
 
 def test_critical_anisotropy_two_and_three_ions():
-    c2 = critical_anisotropy(2)
+    c2 = critical_anisotropy(2, 3e-6, E_C, M_BE)
     assert c2.ratio_exact == pytest.approx(1.0, abs=1e-9)
-    c3 = critical_anisotropy(3)
+    c3 = critical_anisotropy(3, 3e-6, E_C, M_BE)
     assert c3.ratio_exact == pytest.approx(math.sqrt(2.4), rel=1e-9)
     assert abs(c3.ratio_exact - 1.55) < 0.005
 
 
 def test_critical_anisotropy_fits():
-    c = critical_anisotropy(10)
+    c = critical_anisotropy(10, 3e-6, E_C, M_BE)
     assert c.fit_a == pytest.approx(0.73 * 10**0.86, rel=1e-12)
     assert c.fit_b == pytest.approx(0.63 * 10**0.865, rel=1e-12)
     assert c.fit_c == pytest.approx(0.59 * 10**0.885, rel=1e-12)
@@ -339,11 +338,6 @@ def test_radial_bound_for_3um_spacing():
     c = critical_anisotropy(2, s_c=3e-6, charge=E_C, mass=M_BE)
     nu = c.omega_r_bound / TWO_PI
     assert abs(nu / 7.8e6 - 1.0) < 0.02
-
-
-def test_radial_bound_requires_mass_and_charge():
-    with pytest.raises(ModelInputError):
-        critical_anisotropy(2, s_c=3e-6)
 
 
 # ---------------------------------------------------------------------------
