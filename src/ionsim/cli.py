@@ -45,7 +45,6 @@ from ._svg import line_plot
 from .cooling import CoolingConfig, cooling_limit, sideband_cool
 from .coupling import CouplingParams, ModeEnsemble, debye_waller_stats, ladder, magic_eta
 from .decoherence import (
-    FAST_NOISE_PHASES,
     BathParams,
     RabiSignal,
     coherence_tomography,
@@ -134,8 +133,8 @@ def _diag_density(init: dict) -> DensityMatrix:
 
 _TAU_SCHEMA = {
     "stop": Field("quantity", unit="s", required=True),
-    # noise envelopes average FAST_NOISE_PHASES drive phases at every point
-    "points": Field("int", default=600, lo=2, hi=_MAX_CELLS // FAST_NOISE_PHASES),
+    # tomography's inversion basis is points x (n_cut + 1): each side gets the root
+    "points": Field("int", default=600, lo=2, hi=math.isqrt(_MAX_CELLS)),
 }
 
 

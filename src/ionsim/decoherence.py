@@ -337,10 +337,6 @@ def slow_amplitude_noise_envelope(dist: str, dOmega_rms: float, tau_grid, Omega0
     return 0.5 * (1.0 + env * np.cos(2.0 * Omega0 * tau))
 
 
-# drive phases of the fast-noise average, uniform over one period
-FAST_NOISE_PHASES = 2048
-
-
 def fast_amplitude_noise_visibility(
     dOmega: float,
     omega_amp: float,
@@ -356,9 +352,11 @@ def fast_amplitude_noise_visibility(
         <P_down> = 1/2 + 1/2 cos(2 Omega0 tau) [1 - 2 r^2 (1 - cos(omega_amp tau))]
 
     so the visibility loss is bounded by 4 r^2. Returns the closed form
-    together with the numerically exact average over FAST_NOISE_PHASES
-    uniform phases (trapezoid on the periodic interval, spectrally
-    accurate).
+    together with the exact phase average: a shot's half-angle gains
+    2 r |sin(omega_amp tau / 2)| cos(phase - delta), which the Jacobi-Anger
+    identity averages to one Bessel term,
+
+        <P_down> = 1/2 + 1/2 cos(2 Omega0 tau) J0(4 |r| |sin(omega_amp tau / 2)|)
 
     RangeError when |r| > 0.3, where the expansion degrades.
     """
@@ -369,16 +367,9 @@ def fast_amplitude_noise_visibility(
         raise RangeError(f"|dOmega/omega_amp| = {abs(r):.3f} outside validity (<= 0.3)")
     tau = np.asarray(tau_grid, dtype=float)
     wt = omega_amp * tau
-    closed = 0.5 + 0.5 * np.cos(2.0 * Omega0 * tau) * (
-        1.0 - 2.0 * r * r * (1.0 - np.cos(wt))
-    )
-    phases = np.linspace(0.0, 2.0 * math.pi, FAST_NOISE_PHASES, endpoint=False)
-    # accumulated half-angle: Omega0 tau + r [cos(phase)(1-cos wt) + sin(phase) sin wt]
-    half = Omega0 * tau[None, :] + r * (
-        np.cos(phases)[:, None] * (1.0 - np.cos(wt))[None, :]
-        + np.sin(phases)[:, None] * np.sin(wt)[None, :]
-    )
-    exact = 0.5 + 0.5 * np.mean(np.cos(2.0 * half), axis=0)
+    flop = np.cos(2.0 * Omega0 * tau)
+    closed = 0.5 + 0.5 * flop * (1.0 - 2.0 * r * r * (1.0 - np.cos(wt)))
+    exact = 0.5 + 0.5 * flop * j0(4.0 * abs(r) * np.abs(np.sin(0.5 * wt)))
     return {"closed_form": closed, "phi_average": exact}
 
 

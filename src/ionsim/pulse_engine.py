@@ -140,7 +140,8 @@ def _rotation_block(Omega, t: float, phi: float, dn: int) -> np.ndarray:
 
 def _pulse_blocks(p: PulseSpec, n_max: int):
     """Flat indices of |up, nu> and |down, nl> for each coupled pair, and
-    the stacked 2x2 propagators, shape batch + (pairs, 2, 2)."""
+    the stacked 2x2 propagators, shape batch + (pairs, 2, 2), each checked
+    unitary."""
     theta_eff = p.theta + np.asarray(p.zeta, dtype=float)
     # a negative area is the same pulse with its phase shifted by pi
     phi_tot = np.where(theta_eff < 0, p.phi + p.phi_err + math.pi, p.phi + p.phi_err)
@@ -163,6 +164,7 @@ def _pulse_blocks(p: PulseSpec, n_max: int):
     t = theta_eff / (2.0 * abs(Omega_ref))
     nu, nl = (n, n + dn) if p.transition == "red" else (n + dn, n)
     blocks = _rotation_block(Omegas, t[..., None], phi_tot[..., None], dn)
+    require_unitary(blocks)
     return n_max + 1 + nu, nl, blocks
 
 
@@ -182,7 +184,6 @@ def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
     U[iu, il] = blk[:, 0, 1]
     U[il, iu] = blk[:, 1, 0]
     U[il, il] = blk[:, 1, 1]
-    require_unitary(U)
     return U
 
 
@@ -210,7 +211,6 @@ def apply_pulse(state: QuantumState, p: PulseSpec) -> QuantumState:
                 f"would leave the truncation n_max={n_max}"
             )
     iu, il, blk = _pulse_blocks(p, n_max)
-    require_unitary(blk)
     up, lo = amps[..., iu], amps[..., il]
     up, lo = (blk[..., 0, 0] * up + blk[..., 0, 1] * lo,
               blk[..., 1, 0] * up + blk[..., 1, 1] * lo)

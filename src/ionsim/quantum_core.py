@@ -196,10 +196,18 @@ def apply_unitary(state: QuantumState, U: np.ndarray) -> QuantumState:
 
 def require_unitary(U: np.ndarray) -> None:
     """ModelInputError unless U, one matrix or a stack of them, is unitary
-    to 1e-10 in every entry of U+ U - 1 (checked under __debug__)."""
+    to 1e-10 in every entry of U+ U - 1 (checked under __debug__). For a
+    stack of 2x2 blocks [[a, b], [c, d]] those entries are read in place:
+    |a|^2 + |c|^2 - 1, |b|^2 + |d|^2 - 1 and conj(a) b + conj(c) d."""
     if __debug__:
-        d = U.shape[-1]
-        defect = float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(d))))
+        if U.shape[-2:] == (2, 2):
+            a, b, c, d = U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1]
+            entries = (a.real ** 2 + a.imag ** 2 + c.real ** 2 + c.imag ** 2 - 1.0,
+                       b.real ** 2 + b.imag ** 2 + d.real ** 2 + d.imag ** 2 - 1.0,
+                       a.conj() * b + c.conj() * d)
+            defect = max(np.max(np.abs(e)) for e in entries)
+        else:
+            defect = np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])))
         if defect > 1e-10:
             raise ModelInputError(f"matrix is not unitary (defect {defect:.2e})")
 

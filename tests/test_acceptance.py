@@ -7,7 +7,6 @@ library's own intermediate results wherever a second route exists.
 Run with -v to get one pass/fail line per criterion.
 """
 
-import json
 import math
 
 import numpy as np

@@ -554,6 +554,23 @@ def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_noise_envelopes_at_the_points_cap_stay_small(tmp_path, capsys):
+    # the fast-noise phase average is one Bessel term per point, so no
+    # (phases x points) grid is built at any tau.points
+    body = _bundled("noise.envelopes")
+    body["params"]["tau"]["points"] = cli._TAU_SCHEMA["points"].hi
+    cfg = write_cfg(tmp_path, body)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 2 * 2**20
+
+
 def test_trial_draws_over_the_cap_exit_2_before_drawing(tmp_path, capsys):
     # each field is inside its own cap, but M_values x trials draws are not
     M = 64

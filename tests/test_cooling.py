@@ -19,7 +19,6 @@ from scipy import constants as const
 
 from ionsim.cooling import (
     CoolingConfig,
-    CoolingResult,
     _kick_weights,
     cooling_limit,
     recoil_frequency,

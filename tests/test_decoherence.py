@@ -10,8 +10,9 @@ Oracles used here and nowhere else:
   fixed point (built from the closed-form ratio, not from make_state).
 * Richardson-extrapolated finite differences for the short-time decay
   rates of ground population and of the 0-1 coherence.
-* The Bessel-series closed form J0(4 r |sin(w tau/2)|) cos(2 W0 tau)
-  for the exact phase average of the fast-modulation signal.
+* A 2,048-phase trapezoid rule over the drive phase (spectrally
+  accurate on the periodic interval) for the exact phase average of the
+  fast-modulation signal.
 * Monte Carlo sampling (seeded numpy Generator) of slow amplitude-noise
   ensembles and of the fast-modulation phase average.
 * Bisection on the analytic envelopes for the half-contrast points,
@@ -23,9 +24,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import constants as const
 from scipy.integrate import solve_ivp
-from scipy.special import j0, jv
+from scipy.special import jv
 
 from ionsim.coupling import CouplingParams, rabi_frequency
 from ionsim.decoherence import (
@@ -51,7 +53,7 @@ from ionsim.errors import (
     RangeError,
     TruncationError,
 )
-from ionsim.quantum_core import DensityMatrix, QuantumState, index_of, make_state
+from ionsim.quantum_core import DensityMatrix, QuantumState, index_of
 
 
 def _fock_dm(n, n_max):
@@ -520,15 +522,33 @@ def test_fast_noise_zero_modulation():
         fast_amplitude_noise_visibility(0.1, 0.0, tau, 1.0)
 
 
+def _phase_trapezoid(dW, wa, tau, w0, phases=2048):
+    """<P_down> averaged over uniform drive phases by the trapezoid rule."""
+    ph = np.linspace(0.0, 2.0 * math.pi, phases, endpoint=False)
+    r = dW / wa
+    wt = wa * tau
+    # accumulated half-angle: W0 tau + r [cos(ph)(1 - cos wt) + sin(ph) sin wt]
+    half = w0 * tau[None, :] + r * (np.cos(ph)[:, None] * (1.0 - np.cos(wt))[None, :]
+                                    + np.sin(ph)[:, None] * np.sin(wt)[None, :])
+    return 0.5 + 0.5 * np.mean(np.cos(2.0 * half), axis=0)
+
+
 def test_fast_noise_phase_average_matches_bessel_form():
-    # the exact phase average has a Bessel closed form; the quadrature
-    # must reproduce it to near machine precision
+    # the Bessel form of the phase average must reproduce the quadrature
+    # to near machine precision
     dW, wa, w0 = 0.5, 5.0, 1.0
     tau = np.linspace(0.0, 30.0, 301)
     out = fast_amplitude_noise_visibility(dW, wa, tau, w0)
-    r = dW / wa
-    ref = 0.5 + 0.5 * j0(4.0 * r * np.abs(np.sin(wa * tau / 2.0))) * np.cos(2.0 * w0 * tau)
-    assert np.abs(out["phi_average"] - ref).max() <= 1e-12
+    assert np.abs(out["phi_average"] - _phase_trapezoid(dW, wa, tau, w0)).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.3, 0.3), st.floats(0.1, 10.0), st.floats(0.0, 5.0),
+       st.floats(0.0, 10.0))
+def test_fast_noise_phase_average_matches_quadrature_anywhere(r, wa, w0, tau_stop):
+    tau = np.linspace(0.0, tau_stop, 64)
+    out = fast_amplitude_noise_visibility(r * wa, wa, tau, w0)
+    assert np.abs(out["phi_average"] - _phase_trapezoid(r * wa, wa, tau, w0)).max() <= 1e-13
 
 
 def test_fast_noise_closed_form_accuracy_at_small_ratio():

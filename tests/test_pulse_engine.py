@@ -6,7 +6,6 @@ Oracles used here and nowhere else:
     against the closed-form propagator;
   * hand-built flop matrices from the two carrier matrix elements for
     the magic-value gate;
-  * Poisson photon statistics for the displaced vacuum;
   * closed-form worst-case fidelities cos^2(zeta/2), cos^2(M zeta/2),
     cos^2(sum zeta/2) for area-error accumulation.
 """
@@ -31,7 +30,6 @@ from ionsim.errors import (
     TruncationWarning,
 )
 from ionsim.pulse_engine import (
-    GateReport,
     PulseSpec,
     RegisterState,
     TRANSITIONS,

@@ -1,5 +1,7 @@
 """Tests for ionsim.quantum_core."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from ionsim.quantum_core import (
     index_of,
     make_state,
     overlap,
+    require_unitary,
 )
 
 
@@ -29,6 +32,21 @@ def random_unitary(dim, seed):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_blocks(shape, seed):
+    """A stack of random 2x2 unitaries e^{i g} [[a, b], [-b*, a*]], |a|^2 + |b|^2 = 1."""
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    ab /= np.linalg.norm(ab, axis=-1, keepdims=True)
+    a, b = ab[..., 0], ab[..., 1]
+    U = np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
+    return U * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))[..., None, None]
+
+
+def dense_defect(U):
+    """max |U+ U - 1| over a stack, by matrix products."""
+    return float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1]))))
 
 
 def random_state(n_max, seed):
@@ -150,6 +168,40 @@ def test_unitary_on_density_matrix():
     dm = make_state("thermal", n_max=20, nbar=0.5)
     with pytest.raises(ModelInputError, match="DensityMatrix"):
         apply_unitary(dm, np.eye(21))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [0.9, 0.99, 1.01, 1.1])
+def test_block_stack_defect_matches_dense_formula(seed, scale):
+    # perturb unitary blocks until the dense defect sits just under or
+    # just over the 1e-10 guard; the in-place 2x2 path must decide as the
+    # dense formula does and print the same defect
+    V = random_blocks((300, 9), seed)
+    E = np.random.default_rng(seed + 100).normal(size=V.shape + (2,)) @ [1.0, 1j]
+    slope = dense_defect(V + 1e-10 * E) / 1e-10
+    U = V + (scale * 1e-10 / slope) * E
+    defect = dense_defect(U)
+    assert (defect > 1e-10) == (scale > 1.0)
+    if defect > 1e-10:
+        with pytest.raises(ModelInputError, match=re.escape(f"(defect {defect:.2e})")):
+            require_unitary(U)
+    else:
+        require_unitary(U)
+
+
+@pytest.mark.parametrize("bad", [
+    0.5 * np.eye(2),                         # column norms only
+    np.array([[1.0, 1e-9], [0.0, 1.0]]),    # overlap of the columns only
+    # overlapping columns of squared norm 1 + 2.5e-19, orthogonal rows: U+ U - 1
+    # is off-diagonal, U U+ - 1 diagonal
+    np.array([[1.0, 1.0], [1.0, -1.0]]) @ [[1.0, 5e-10], [5e-10, 1.0]] / math.sqrt(2.0),
+])
+def test_one_non_unitary_block_in_a_stack_is_refused(bad):
+    U = random_blocks((300, 9), seed=7)
+    require_unitary(U)
+    U[123, 4] = bad
+    with pytest.raises(ModelInputError, match="not unitary"):
+        require_unitary(U)
 
 
 # ---------------------------------------------------------------------------

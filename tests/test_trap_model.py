@@ -21,7 +21,6 @@ from ionsim.errors import (
     RangeError,
 )
 from ionsim.trap_model import (
-    AxialModes,
     TrapParams,
     axial_normal_modes,
     chain_equilibrium,
@@ -30,7 +29,6 @@ from ionsim.trap_model import (
     cross_mode_growth,
     exchange_time,
     frequency_sensitivities,
-    length_scale,
     mathieu_beta,
     mathieu_trajectory,
     micromotion_suppression,
