@@ -23,6 +23,11 @@ frequencies (omega_*, Omega*, drive_frequency, slow_rms, gamma_rad) are
 cyclic Hz and are multiplied by 2*pi on the way in; keys holding decay
 or relaxation rates (gamma, gamma0) are direct 1/s. Seeds make every
 run reproducible: the same config and seed produce byte-identical CSV.
+
+The argument parser and the bundled-scenario directory are built once,
+at import. ``main`` may be called any number of times in one process
+(the tests and ``perfbench`` do so): each call parses into a fresh
+namespace, and one call leaves nothing behind that the next one reads.
 """
 
 from __future__ import annotations
@@ -754,12 +759,12 @@ _HANDLERS = {
 
 
 def _cell(v) -> str:
+    if isinstance(v, (float, np.floating)):     # most cells
+        return repr(float(v))
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
     return str(v)
 
 
@@ -780,8 +785,7 @@ def render_csv(name: str, cfg: ExperimentConfig, seed: int,
     lines.append(",".join(
         f"{n} [{u}]" if u else n for n, u in result.columns
     ))
-    for row in result.rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines.extend(",".join(map(_cell, row)) for row in result.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -886,15 +890,13 @@ def _plot_files(name: str, cfg: ExperimentConfig, result: RunResult) -> list:
 # scenario discovery
 
 
-def _scenario_dir():
-    return resources.files("ionsim").joinpath("scenarios")
+_SCENARIO_DIR = resources.files("ionsim").joinpath("scenarios")
 
 
 def list_scenarios() -> list[dict]:
     """Bundled scenario descriptors in stable (sorted) order."""
     out = []
-    root = _scenario_dir()
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+    for entry in sorted(_SCENARIO_DIR.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".json"):
             continue
         cfg = parse_config_text(entry.read_text(encoding="utf-8"),
@@ -908,17 +910,19 @@ def list_scenarios() -> list[dict]:
     return out
 
 
-def _resolve_config(arg: str) -> tuple[str, str]:
-    """(origin label, config text) for a path or bundled scenario name."""
+def _resolve_config(arg: str) -> tuple[str, str, str]:
+    """(origin label, text, default output name) for a path or bundled name."""
+    base = os.path.basename(arg)
     if os.path.isfile(arg):
         try:
             with open(arg, encoding="utf-8") as fh:
-                return arg, fh.read()
+                text = fh.read()
         except OSError as err:
             raise ConfigError(f"{arg}: cannot read config ({err})") from err
-    entry = _scenario_dir().joinpath(arg + ".json")
+        return arg, text, os.path.splitext(base)[0] if arg.endswith(".json") else base
+    entry = _SCENARIO_DIR.joinpath(arg + ".json")
     if entry.is_file():
-        return f"bundled:{arg}", entry.read_text(encoding="utf-8")
+        return f"bundled:{arg}", entry.read_text(encoding="utf-8"), base
     raise ConfigError(
         f"{arg}: no such config file or bundled scenario "
         "(try 'ionsim list')"
@@ -930,15 +934,11 @@ def _resolve_config(arg: str) -> tuple[str, str]:
 
 
 def _cmd_run(args) -> int:
-    origin, text = _resolve_config(args.config)
+    origin, text, default_name = _resolve_config(args.config)
     sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
     cfg = parse_config_text(text, origin=origin)
     seed = args.seed if args.seed is not None else cfg.seed
     strict = bool(args.strict or cfg.strict)
-    if args.config.endswith(".json") and os.path.isfile(args.config):
-        default_name = os.path.splitext(os.path.basename(args.config))[0]
-    else:
-        default_name = os.path.basename(args.config)
     name = cfg.output or default_name
 
     schema, handler = _HANDLERS[cfg.kind]
@@ -951,25 +951,25 @@ def _cmd_run(args) -> int:
         result = handler(params, seed)
 
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    plots = _plot_files(name, cfg, result)
-
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_csv(name, cfg, seed, result))
-    outputs = [csv_path]
-    for fname, svg in plots:
-        svg_path = os.path.join(out_dir, fname)
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-        outputs.append(svg_path)
-
+    files = [(os.path.join(out_dir, fname), body) for fname, body in
+             [(f"{name}.csv", render_csv(name, cfg, seed, result)),
+              *_plot_files(name, cfg, result)]]
+    outputs = [path for path, _ in files]
     checks = evaluate_expectations(cfg.expect, result.metrics)
     manifest_path = os.path.join(out_dir, f"{name}.manifest.txt")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_manifest(name, origin, sha, cfg, seed, strict,
-                                 outputs, checks, result.metrics))
+    files.append((manifest_path, render_manifest(
+        name, origin, sha, cfg, seed, strict, outputs, checks, result.metrics)))
     outputs.append(manifest_path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out: cannot make output directory ({err})") from err
+    for path, body in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(body)
+        except OSError as err:
+            raise ConfigError(f"{path}: cannot write output ({err})") from err
 
     failed = sum(1 for c in checks if c["status"] == "FAIL")
     if args.json:
@@ -1008,7 +1008,18 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _seed_arg(text: str) -> int:
+    """--seed's type: an int within the config seed's bound (>= 0)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionsim",
         description="Trapped-ion coherent-control simulator: run experiment "
@@ -1020,7 +1031,7 @@ def main(argv=None) -> int:
                        help="path to a JSON config, or a bundled scenario name")
     run_p.add_argument("--strict", action="store_true",
                        help="escalate model warnings to errors (exit 3)")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", type=_seed_arg, default=None,
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--json", action="store_true",
@@ -1028,7 +1039,21 @@ def main(argv=None) -> int:
     list_p = sub.add_parser("list", help="list bundled scenarios")
     list_p.add_argument("--json", action="store_true",
                         help="machine-readable listing")
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    """Run the ``ionsim`` command line on argv (default ``sys.argv[1:]``).
+
+    Returns the exit code; argparse exits 2 itself on a malformed command
+    line. The parser is built once, at import, so calling ``main`` again
+    in the same process only parses: every call gets a fresh namespace,
+    and nothing one call sets is read by the next.
+    """
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

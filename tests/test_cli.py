@@ -5,6 +5,7 @@ codes and stderr text are checked exactly as a shell would see them; one
 subprocess test confirms the module is runnable as `python -m ionsim.cli`.
 """
 
+import argparse
 import copy
 import json
 import math
@@ -14,7 +15,9 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ionsim import cli
 from ionsim._config import (
@@ -265,7 +268,42 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
 
 
 def _bundled(name):
-    return json.loads(cli._scenario_dir().joinpath(name + ".json").read_text())
+    return json.loads(cli._SCENARIO_DIR.joinpath(name + ".json").read_text())
+
+
+@pytest.mark.parametrize("name", ["gate.error_budget", "heat.estimators"])
+def test_negative_seed_flag_exits_2_naming_it(name, tmp_path, capsys):
+    # --seed keeps the config seed's bound (>= 0), checked as it is parsed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", name, "--seed", "-5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _blocked_out(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    return blocker
+
+
+def _blocked_output(tmp_path):
+    out = tmp_path / "out"
+    (out / "rabi.ladder.csv").mkdir(parents=True)
+    return out
+
+
+@pytest.mark.parametrize("make_out, blamed", [
+    (_blocked_out, "--out: cannot make output directory ("),
+    (_blocked_output, "{out}/rabi.ladder.csv: cannot write output ("),
+], ids=["out_is_a_file", "output_is_a_directory"])
+def test_unwritable_out_exits_2_naming_it(make_out, blamed, tmp_path, capsys):
+    out = make_out(tmp_path)
+    rc = cli.main(["run", "rabi.ladder", "--json", "--out", str(out)])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.err.startswith("config error: " + blamed.format(out=out))
+    assert "Traceback" not in cap.err and cap.out == ""
 
 
 def test_run_nan_eta_exits_2_naming_key(tmp_path, capsys):
@@ -873,6 +911,47 @@ def test_svg_writer_rejects_all_nan():
 
 
 # ---------------------------------------------------------------------------
+# the CSV cell formatter against a copy of its earlier form, which checked
+# bool and int before float: the reordered branches must print the same bytes
+
+
+def _oracle_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+CELLS = st.one_of(
+    st.floats(),                              # nan, +-inf, -0.0, subnormals
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CELLS)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(np.float64(-0.0))
+@example(np.float32(1e-45))
+@example(np.bool_(True))
+def test_cell_matches_its_oracle(v):
+    assert cli._cell(v) == _oracle_cell(v)
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 NOISY = {
@@ -893,6 +972,30 @@ def test_same_seed_byte_identical_csv(tmp_path):
     strip = lambda t: [ln for ln in t.splitlines() if "/" not in ln]
     assert strip((a / "cfg.manifest.txt").read_text()) == \
         strip((b / "cfg.manifest.txt").read_text())
+
+
+def test_main_reuses_one_parser_and_keeps_no_state(tmp_path, capsys,
+                                                   monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    name = "rabi.ladder"
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", name, "--seed", "7", "--strict", "--json",
+                     "--out", str(a)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    assert cli.main(["run", name, "--json", "--out", str(b)]) == 0
+    own_seed = _bundled(name).get("seed", 0)
+    assert own_seed != 7
+    assert json.loads(capsys.readouterr().out)["seed"] == own_seed
+    man = (b / f"{name}.manifest.txt").read_text().splitlines()
+    assert f"seed: {own_seed}" in man and "strict: False" in man
+    assert built == []
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
