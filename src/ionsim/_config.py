@@ -22,15 +22,18 @@ angular) pass through as plain 1/s. Numbers must be finite: NaN,
 Infinity and values that overflow (such as "1e400 MHz") are rejected.
 Integers must lie within their field's lo..hi bounds, and a schema sets
 hi so that no array the field sizes can outgrow memory. A key that only
-some choices of a string field read is rejected under the others. Every
-validation failure raises ConfigError with the dotted path of the
-offending key in the message.
+some choices of a string field read is rejected under the others. The
+output names (output, plot[i].file) must be bare file names, so that
+every output lands in the run's output directory. Every validation
+failure raises ConfigError with the dotted path of the offending key in
+the message.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -297,6 +300,13 @@ def parse_config_text(text: str, origin: str = "config") -> ExperimentConfig:
         raise ConfigError("output: expected a nonempty string")
     v["expect"] = v["expect"] or []
     v["plots"] = v.pop("plot") or []
+    # a name with a path in it could write outside the output directory
+    seps = {"/", os.sep, os.altsep} - {None}
+    names = [("output", v["output"])]
+    names += [(f"plot[{i}].file", pl["file"]) for i, pl in enumerate(v["plots"])]
+    for key, name in names:
+        if name in (".", "..") or any(s in (name or "") for s in seps):
+            raise ConfigError(f"{key}: expected a bare file name, found {name!r}")
     for i, e in enumerate(v["expect"]):
         modes = [k for k in ("value", "min", "max") if e[k] is not None]
         if len(modes) != 1:

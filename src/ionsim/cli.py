@@ -197,10 +197,7 @@ def _run_trap(p: dict, seed: int) -> RunResult:
         t = np.linspace(0.0, tj["t_end"], tj["points"])
         traj = mathieu_trajectory(tp, tj["amplitude"], tj["phase"], t)
         cols = [("t", "s"), ("x", "m"), ("y", "m")]
-        rows = [
-            (float(ti), float(xi), float(yi))
-            for ti, xi, yi in zip(t, traj["x"], traj["y"])
-        ]
+        rows = [tuple(map(float, r)) for r in zip(t, traj["x"], traj["y"])]
     else:
         cols = [("quantity", ""), ("value", ""), ("unit", "")]
         rows = [(k, v, "Hz" if k.endswith("_Hz") else "")
@@ -341,7 +338,9 @@ def _run_gate(p: dict, seed: int) -> RunResult:
             "purity_ion0": reg.reduced_spin_purity(0),
         }
         return RunResult(cols, rows, metrics)
-    # noisy_sequence
+    # noisy_sequence: one sweep over M_top pulses reads every M on the way.
+    # Its largest array holds the normal draws, trials x M_top for each
+    # random error (area, phase); everything else is one trial batch.
     M_top = max(p["M_values"])
     if M_top * p["trials"] > _MAX_CELLS:
         raise ConfigError(f"params.trials: must be <= {_MAX_CELLS // M_top} "
@@ -351,12 +350,11 @@ def _run_gate(p: dict, seed: int) -> RunResult:
              "systematic": p["systematic"]}
     cols = [("M", ""), ("F_mean", ""), ("F_std", ""), ("infidelity", ""),
             ("quad_coeff", "")]
-    rows = []
-    for M in p["M_values"]:
-        res = noisy_sequence_fidelity([base] * M, model, trials=p["trials"],
-                                      base_seed=seed)
-        rows.append((M, res["F_mean"], res["F_std"], 1.0 - res["F_mean"],
-                     res["quadratic_fit"]["coefficient"]))
+    sweep = noisy_sequence_fidelity([base] * M_top, model, trials=p["trials"],
+                                    base_seed=seed, lengths=p["M_values"])
+    rows = [(M, r["F_mean"], r["F_std"], 1.0 - r["F_mean"],
+             r["quadratic_fit"]["coefficient"])
+            for M, r in zip(p["M_values"], sweep)]
     metrics = {"infidelity_at_max_M": rows[-1][3],
                "quad_coeff_at_max_M": rows[-1][4]}
     logM = [math.log(r[0]) for r in rows if r[3] > 0]
@@ -518,20 +516,13 @@ def _run_heat(p: dict, seed: int) -> RunResult:
         _require(p, ("mass", "charge"), "estimators (collisions)")
         cr = collision_rates(co["polarizability"], co["gas_mass"], co["pressure"],
                              co["T"], p["mass"], charge=p["charge"])
-        rows.extend([
-            ("k_langevin", cr.k_langevin, "m^3/s"),
-            ("gamma_langevin", cr.gamma_langevin, "1/s"),
-            ("k_elastic", cr.k_elastic, "m^3/s"),
-            ("gamma_elastic", cr.gamma_elastic, "1/s"),
-            ("v_thermal", cr.v_thermal, "m/s"),
-        ])
-        metrics.update(
-            k_langevin_m3_per_s=cr.k_langevin,
-            gamma_langevin_per_s=cr.gamma_langevin,
-            k_elastic_m3_per_s=cr.k_elastic,
-            gamma_elastic_per_s=cr.gamma_elastic,
-            v_thermal_m_per_s=cr.v_thermal,
-        )
+        for k, unit, tag in (("k_langevin", "m^3/s", "m3_per_s"),
+                             ("gamma_langevin", "1/s", "per_s"),
+                             ("k_elastic", "m^3/s", "m3_per_s"),
+                             ("gamma_elastic", "1/s", "per_s"),
+                             ("v_thermal", "m/s", "m_per_s")):
+            rows.append((k, getattr(cr, k), unit))
+            metrics[f"{k}_{tag}"] = getattr(cr, k)
     if not rows:
         raise ConfigError(
             "params: estimators op needs at least one of "
@@ -591,20 +582,15 @@ def _run_noise(p: dict, seed: int) -> RunResult:
         return RunResult(cols, rows, metrics)
     if op == "envelopes":
         tau = _tau_grid(p["tau"], "params.tau")
-        gauss = slow_amplitude_noise_envelope("gaussian", p["slow_rms"], tau,
-                                              p["Omega"])
-        lap = slow_amplitude_noise_envelope("laplacian", p["slow_rms"], tau,
-                                            p["Omega"])
+        gauss, lap = (slow_amplitude_noise_envelope(shape, p["slow_rms"], tau, p["Omega"])
+                      for shape in ("gaussian", "laplacian"))
         fast = fast_amplitude_noise_visibility(
             p["fast_ratio"] * p["omega_amp"], p["omega_amp"], tau, p["Omega"]
         )
         cols = [("tau", "s"), ("slow_gaussian", ""), ("slow_laplacian", ""),
                 ("fast_closed", ""), ("fast_exact", "")]
-        rows = [
-            (float(t), float(a), float(b), float(c), float(d))
-            for t, a, b, c, d in zip(tau, gauss, lap, fast["closed_form"],
-                                     fast["phi_average"])
-        ]
+        rows = [tuple(map(float, r)) for r in
+                zip(tau, gauss, lap, fast["closed_form"], fast["phi_average"])]
         rms = p["slow_rms"]       # without slow noise the contrast never halves
         metrics = {
             "gauss_half_contrast_s": (math.sqrt(math.log(2.0) / 2.0) / rms
@@ -627,10 +613,8 @@ def _run_noise(p: dict, seed: int) -> RunResult:
                            tau_r=tau_r)
     cols = [("envelope", ""), ("C_s_final", ""), ("adiabatic_estimate", ""),
             ("norm_defect", "")]
-    rows = [
-        ("square", sq["C_s_final"], sq["adiabatic_estimate"], sq["norm_defect"]),
-        ("smooth", sm["C_s_final"], sm["adiabatic_estimate"], sm["norm_defect"]),
-    ]
+    rows = [(name, r["C_s_final"], r["adiabatic_estimate"], r["norm_defect"])
+            for name, r in (("square", sq), ("smooth", sm))]
     metrics = {
         "square_C_s": sq["C_s_final"],
         "smooth_C_s": sm["C_s_final"],
@@ -658,9 +642,9 @@ def _run_clock(p: dict, seed: int) -> RunResult:
     cols = [("L", ""), ("n_exp", ""), ("epsilon", ""), ("T_R", "s"),
             ("delta_omega", "rad/s"), ("margin", "")]
     rows, metrics = [], {}
-    dw = {}
     for L in p["L_values"]:
         for n in p["n_values"]:
+            dw = {}
             for eps in p["epsilon_values"]:
                 cp = ClockParams(L=L, tau=p["tau"], C=p["C"], n_exp=n,
                                  K2=p["K2"], K3=p["K3"], epsilon=eps)
@@ -668,12 +652,9 @@ def _run_clock(p: dict, seed: int) -> RunResult:
                 margin = out.get("K1", out.get("K3"))
                 rows.append((L, float(n), float(eps), out["T_R"],
                              out["delta_omega"], float(margin)))
-                dw[(L, n, eps)] = out["delta_omega"]
-    for L in p["L_values"]:
-        for n in p["n_values"]:
-            a, b = dw.get((L, n, 0.5)), dw.get((L, n, 1.0))
-            if a is not None and b is not None:
-                metrics[f"gain.L{L}.n{n:g}"] = a / b
+                dw[eps] = out["delta_omega"]
+            if 0.5 in dw and 1.0 in dw:
+                metrics[f"gain.L{L}.n{n:g}"] = dw[0.5] / dw[1.0]
     return RunResult(cols, rows, metrics)
 
 
@@ -713,9 +694,8 @@ def _run_tomography(p: dict, seed: int) -> RunResult:
             sig = RabiSignal(tau, noisy)
         est = invert_populations(sig, c, p["n_cut"], gamma_model=p["gamma0"])
         truth = np.zeros(p["n_cut"] + 1)
-        src = np.asarray(p["populations"], dtype=float)
-        take = min(src.size, truth.size)
-        truth[:take] = src[:take]
+        src = p["populations"][: truth.size]
+        truth[: len(src)] = src
         cols = [("n", ""), ("P_true", ""), ("P_recovered", ""), ("abs_err", "")]
         rows = [
             (n, float(truth[n]), float(est["P"][n]),

@@ -509,28 +509,39 @@ def noisy_sequence_fidelity(
     trials: int,
     base_seed: int = 0,
     n_max: int = 8,
-) -> dict:
+    lengths=None,
+) -> dict | list[dict]:
     """Monte Carlo fidelity of a pulse sequence under area and phase errors.
 
     error_model keys: zeta_rms and phi_rms (standard deviations of the
     per-pulse area and phase errors), systematic (bool; when set every
     pulse gets exactly zeta_rms and phi_rms instead of fresh draws, so all
     trials coincide). Per-pulse injections already present in the specs
-    are kept and the drawn errors add to them. Trial k draws its M area
-    and then its M phase errors from the stream base_seed + k; all trials
-    then pass through each pulse as one batch.
+    are kept and the drawn errors add to them. With M the longest length
+    read, trial k seeds default_rng(base_seed + k) once and draws M area,
+    then M phase errors (a zero rms draws none); one ideal run and all
+    trials, as one batch, then pass through seq[:M].
 
-    Returns F_mean, F_std and a quadratic_fit dict whose coefficient is
-    (1 - F_mean) divided by M*zeta_rms^2 (random model) or by the squared
-    total systematic area error (systematic model).
+    lengths (prefix lengths in 1..len(seq), any order, repeats allowed)
+    returns one result per entry, each read after its first m pulses;
+    without it the call returns the result of the whole sequence. A
+    prefix equals the call on seq[:m] bit for bit unless both errors are
+    random: then its phase errors are draws M..M+m-1, not m..2m-1, so the
+    prefixes are nested views of one set of runs.
+
+    A result holds F_mean, F_std and a quadratic_fit dict whose
+    coefficient is (1 - F_mean) divided by m*zeta_rms^2 (random model) or
+    by the squared total systematic area error (systematic model).
     """
     seq = list(seq)
     if not seq:
         raise ModelInputError("empty pulse sequence")
     if not isinstance(trials, int) or trials < 1:
         raise RangeError("trials must be a positive integer")
-    known = {"zeta_rms", "phi_rms", "systematic"}
-    unknown = set(error_model) - known
+    want = [len(seq)] if lengths is None else list(lengths)
+    if not want or not all(isinstance(m, int) and 1 <= m <= len(seq) for m in want):
+        raise RangeError(f"lengths must be a nonempty list of integers in 1..{len(seq)}")
+    unknown = set(error_model) - {"zeta_rms", "phi_rms", "systematic"}
     if unknown:
         raise ModelInputError(f"unknown error_model keys: {sorted(unknown)}")
     zeta_rms = float(error_model.get("zeta_rms", 0.0))
@@ -539,37 +550,36 @@ def noisy_sequence_fidelity(
     if zeta_rms < 0 or phi_rms < 0:
         raise RangeError("error magnitudes must be >= 0")
 
-    def run(pulses):
-        psi = make_state("fock", n_max=n_max)
-        for p in pulses:
-            psi = apply_pulse(psi, p)
-        return psi
+    M = max(want)
+    drawn = [s > 0 and not systematic for s in (zeta_rms, phi_rms)]
+    draws = np.empty((trials, M * sum(drawn)))     # row k: trial k's draws
+    for k in range(trials if draws.size else 0):
+        np.random.default_rng(base_seed + k).standard_normal(out=draws[k])
 
-    psi_ideal = run([replace(p, zeta=0.0, phi_err=0.0) for p in seq])
+    def errors(rms, col):       # one error per trial, from draw column col
+        return rms * draws[:, col] if rms > 0 and not systematic else np.full(trials, rms)
 
-    M = len(seq)
-    dz, df = np.full((M, trials), zeta_rms), np.full((M, trials), phi_rms)
-    if not systematic:
-        for k in range(trials):
-            rng = np.random.default_rng(base_seed + k)
-            dz[:, k] = rng.normal(0.0, zeta_rms, M) if zeta_rms > 0 else 0.0
-            df[:, k] = rng.normal(0.0, phi_rms, M) if phi_rms > 0 else 0.0
-    noisy = run([replace(p, zeta=p.zeta + dz[i], phi_err=p.phi_err + df[i])
-                 for i, p in enumerate(seq)])
-    fids = np.abs(overlap(psi_ideal, noisy)) ** 2
-
-    F_mean = float(np.mean(fids))
-    F_std = float(np.std(fids, ddof=1)) if trials > 1 else 0.0
-    if systematic or zeta_rms == 0.0:
-        S = sum(p.zeta for p in seq) + (M * zeta_rms if systematic else 0.0)
-        denom = S * S
-        against = "(sum_zeta)^2"
-    else:
-        denom = M * zeta_rms**2
-        against = "M*zeta_rms^2"
-    coeff = (1.0 - F_mean) / denom if denom > 0 else math.nan
-    return {
-        "F_mean": F_mean,
-        "F_std": F_std,
-        "quadratic_fit": {"coefficient": coeff, "against": against},
-    }
+    ideal = noisy = make_state("fock", n_max=n_max)
+    zeta_sum, found = 0, dict.fromkeys(want)
+    for i, p in enumerate(seq[:M]):
+        ideal = apply_pulse(ideal, replace(p, zeta=0.0, phi_err=0.0))
+        noisy = apply_pulse(noisy, replace(p, zeta=p.zeta + errors(zeta_rms, i),
+                                           phi_err=p.phi_err + errors(phi_rms, M * drawn[0] + i)))
+        zeta_sum += p.zeta
+        m = i + 1
+        if m not in found:
+            continue
+        fids = np.abs(overlap(ideal, noisy)) ** 2
+        F_mean = float(np.mean(fids))
+        if systematic or zeta_rms == 0.0:
+            S = zeta_sum + (m * zeta_rms if systematic else 0.0)
+            denom, against = S * S, "(sum_zeta)^2"
+        else:
+            denom, against = m * zeta_rms**2, "M*zeta_rms^2"
+        found[m] = {
+            "F_mean": F_mean,
+            "F_std": float(np.std(fids, ddof=1)) if trials > 1 else 0.0,
+            "quadratic_fit": {"coefficient": (1.0 - F_mean) / denom if denom > 0 else math.nan,
+                              "against": against},
+        }
+    return [found[m] for m in want] if lengths is not None else found[M]

@@ -9,11 +9,13 @@ import argparse
 import copy
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -847,6 +849,24 @@ def test_output_key_renames_artifacts(tmp_path):
     assert (out / "ladder_run.manifest.txt").exists()
 
 
+@pytest.mark.parametrize("change,key", [
+    ({"output": "../x"}, "output"),
+    ({"output": "sub/x"}, "output"),
+    ({"output": "/abs/x"}, "output"),
+    ({"output": ".."}, "output"),
+    ({"plot": {"x": "n", "y": "carrier", "file": "../p.svg"}}, "plot[0].file"),
+], ids=["parent", "subdir", "absolute", "dotdot", "plot_file"])
+def test_output_name_with_a_path_exits_2_writing_nothing(change, key, tmp_path, capsys):
+    # outputs stay inside --out: output names are bare file names
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = write_cfg(work, {**LADDER, **change})
+    rc = cli.main(["run", cfg, "--out", str(work / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: expected a bare file name")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "work"]
+
+
 def test_failed_expectation_recorded_but_exit_0(tmp_path, capsys):
     body = dict(LADDER)
     body["expect"] = [{"metric": "blue0_over_carrier0", "value": 0.9}]
@@ -1071,11 +1091,59 @@ def test_bundled_heat_run_makes_one_expm_call(tmp_path, monkeypatch):
     assert shapes == [(19, 19)]
 
 
+def test_bundled_gate_sweep_seeds_each_trial_once(tmp_path, monkeypatch):
+    # one sweep to the longest M = 16: one stream per trial, and the ideal
+    # state and the trial batch each pass through 16 pulses
+    from ionsim import pulse_engine
+
+    real_rng, real_apply = np.random.default_rng, pulse_engine.apply_pulse
+    seeds, pulses = [], []
+
+    def counting_rng(seed):
+        seeds.append(seed)
+        return real_rng(seed)
+
+    def counting_apply(state, p):
+        pulses.append(p)
+        return real_apply(state, p)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(pulse_engine, "apply_pulse", counting_apply)
+    assert cli.main(["run", "gate.error_budget", "--out", str(tmp_path)]) == 0
+    assert seeds == list(range(7, 7 + 300))
+    assert len(pulses) == 2 * 16
+
+
+def test_gate_sweep_rows_follow_config_order(tmp_path, capsys):
+    # with one random error every row equals the single call at its M
+    body = _bundled("gate.error_budget")
+    body["params"].update(M_values=[8, 2, 8, 4], trials=40)
+    assert cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path)]) == 0
+    table = [ln for ln in (tmp_path / "cfg.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    assert [ln.split(",")[0] for ln in table[1:]] == ["8", "2", "8", "4"]
+    schema, handler = cli._HANDLERS["gate"]
+    p = validate_block(body["params"], schema, "params")
+    base = cli.PulseSpec("carrier", p["theta"], cli.CouplingParams(Omega=1.0, eta=0.0))
+    model = {"zeta_rms": p["zeta_rms"], "phi_rms": 0.0, "systematic": False}
+    expected = []
+    for M in p["M_values"]:
+        r = cli.noisy_sequence_fidelity([base] * M, model, trials=40, base_seed=body["seed"])
+        expected.append((M, r["F_mean"], r["F_std"], 1.0 - r["F_mean"],
+                         r["quadratic_fit"]["coefficient"]))
+    assert handler(p, body["seed"]).rows == expected
+
+
 def test_module_runnable_as_script(tmp_path):
+    # the child imports the package under test, whatever PYTHONPATH says
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     res = subprocess.run(
         [sys.executable, "-m", "ionsim.cli", "run", "gate.cn_single",
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert res.returncode == 0
     assert "result: PASS" in res.stdout

@@ -683,16 +683,39 @@ def _per_trial_fidelities(seq, zeta_rms, phi_rms, systematic, trials, base_seed,
     return np.array(fids)
 
 
+def _nested_prefix_fidelities(seq, zeta_rms, phi_rms, trials, base_seed, lengths,
+                              n_max=8):
+    """Per-trial fidelities after each requested prefix of one longest run:
+    trial k draws M = max(lengths) area then M phase errors from
+    default_rng(base_seed + k), and its single state passes through
+    seq[:M] one apply_pulse call per pulse."""
+    M = max(lengths)
+    fids = {m: [] for m in lengths}
+    for k in range(trials):
+        rng = np.random.default_rng(base_seed + k)
+        dz, df = rng.normal(0.0, zeta_rms, M), rng.normal(0.0, phi_rms, M)
+        ideal = noisy = make_state("fock", n_max=n_max)
+        for i, p in enumerate(seq[:M]):
+            ideal = apply_pulse(ideal, replace(p, zeta=0.0, phi_err=0.0))
+            noisy = apply_pulse(noisy, replace(p, zeta=p.zeta + float(dz[i]),
+                                               phi_err=p.phi_err + float(df[i])))
+            if i + 1 in fids:
+                fids[i + 1].append(abs(np.vdot(ideal.amplitudes, noisy.amplitudes)) ** 2)
+    return {m: np.array(f) for m, f in fids.items()}
+
+
 _PULSES = st.lists(st.tuples(st.sampled_from(TRANSITIONS), st.floats(0.0, 2 * math.pi),
                              st.floats(-math.pi, math.pi)), min_size=1, max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), _PULSES, st.booleans(), st.floats(0.0, 0.5),
-       st.floats(1e-3, 0.5), st.integers(0, 2**31))
-@example(8, [("carrier", 0.01, 0.0)] * 4, False, 0.5, 0.1, 0)   # negative areas
+       st.floats(1e-3, 0.5), st.integers(0, 2**31),
+       st.lists(st.integers(0, 5), min_size=1, max_size=4))
+@example(8, [("carrier", 0.01, 0.0)] * 4, False, 0.5, 0.1, 0, [3, 1, 3])   # negative areas
+@example(3, [("blue", 1.0, 0.2), ("carrier", 2.0, 0.0)] * 2, False, 0.0, 0.3, 5, [1, 3])
 def test_batched_trials_match_per_trial_loop(trials, pulses, systematic, zeta_rms,
-                                             phi_rms, base_seed):
+                                             phi_rms, base_seed, picks):
     c = CouplingParams(1.0, 0.1)
     seq = [PulseSpec(tr, theta, c, phi=phi) for tr, theta, phi in pulses]
     fids = _per_trial_fidelities(seq, zeta_rms, phi_rms, systematic, trials, base_seed)
@@ -700,6 +723,24 @@ def test_batched_trials_match_per_trial_loop(trials, pulses, systematic, zeta_rm
     out = noisy_sequence_fidelity(seq, model, trials=trials, base_seed=base_seed)
     assert abs(out["F_mean"] - np.mean(fids)) <= 1e-15
     assert abs(out["F_std"] - (np.std(fids, ddof=1) if trials > 1 else 0.0)) <= 1e-15
+
+    # a sweep over prefix lengths, unsorted and possibly repeated
+    lengths = [1 + x % len(seq) for x in picks]
+    sweep = noisy_sequence_fidelity(seq, model, trials=trials, base_seed=base_seed,
+                                    lengths=lengths)
+    assert len(sweep) == len(lengths)
+    if systematic or zeta_rms == 0.0:
+        # the draws of seq[:m] are a prefix of the longest run's: exact
+        np.testing.assert_equal(sweep, [
+            noisy_sequence_fidelity(seq[:m], model, trials=trials, base_seed=base_seed)
+            for m in lengths])
+        return
+    nested = _nested_prefix_fidelities(seq, zeta_rms, phi_rms, trials, base_seed,
+                                       lengths)
+    for m, res in zip(lengths, sweep):
+        f = nested[m]
+        assert abs(res["F_mean"] - np.mean(f)) <= 1e-15
+        assert abs(res["F_std"] - (np.std(f, ddof=1) if trials > 1 else 0.0)) <= 1e-15
 
 
 def test_noisy_sequence_survives_negative_area_draws():
@@ -720,6 +761,9 @@ def test_noisy_sequence_validation_and_determinism():
         noisy_sequence_fidelity(seq, {"sigma": 1.0}, trials=1)
     with pytest.raises(RangeError):
         noisy_sequence_fidelity(seq, {"zeta_rms": -1.0}, trials=1)
+    for lengths in ([], [0], [2], [1.0]):
+        with pytest.raises(RangeError):
+            noisy_sequence_fidelity(seq, {}, trials=1, lengths=lengths)
     a = noisy_sequence_fidelity(seq, {"zeta_rms": 0.05}, trials=8, base_seed=3)
     b = noisy_sequence_fidelity(seq, {"zeta_rms": 0.05}, trials=8, base_seed=3)
     assert a["F_mean"] == b["F_mean"]
