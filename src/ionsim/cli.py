@@ -281,7 +281,7 @@ _GATE_SCHEMA = {
     "op": Field("str", required=True, choices={
         "cn_single": ("k", "m", "eta", "phi"),
         "cn_three_pulse": ("aux_eta", "phi_a"),
-        "entangle": ("L", "n_bus"),
+        "entangle": ("L",),
         "noisy_sequence": ("M_values", "theta", "zeta_rms", "phi_rms",
                            "systematic", "trials")}),
     "k": Field("int", default=0),
@@ -290,9 +290,8 @@ _GATE_SCHEMA = {
     "phi": Field("number", default=0.0),
     "aux_eta": Field("number", default=0.2),
     "phi_a": Field("number", default=0.0),
-    "L": Field("int", default=2, lo=2),
-    # register amplitudes: 2**L rows, L <= DEFAULT_REGISTER_CAP
-    "n_bus": Field("int", default=1, hi=_MAX_CELLS // 2**DEFAULT_REGISTER_CAP - 1),
+    # register amplitudes: 2**L rows
+    "L": Field("int", default=2, lo=2, hi=DEFAULT_REGISTER_CAP),
     "M_values": Field("int_list", default=(2, 4, 8, 16), lo=1, hi=_MAX_CELLS),
     "theta": Field("number", default=math.pi / 2),
     "zeta_rms": Field("number", default=0.01),
@@ -326,7 +325,7 @@ def _run_gate(p: dict, seed: int) -> RunResult:
         metrics = {"fidelity_vs_ideal": report.fidelity_vs_ideal, **extra}
         return RunResult(cols, rows, metrics, meta)
     if op == "entangle":
-        reg = prepare_max_entangled(p["L"], n_bus=p["n_bus"])
+        reg = prepare_max_entangled(p["L"])
         ideal = np.zeros_like(reg.amps)
         ideal[0, 0] = ideal[-1, 0] = 1.0 / math.sqrt(2.0)
         cols = [("spins", ""), ("bus_n", ""), ("re", ""), ("im", "")]

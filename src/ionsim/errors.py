@@ -50,23 +50,6 @@ class SingularSystemError(IonsimError):
     """A linear system required by the model is singular or near-singular."""
 
 
-class MagicEtaError(IonsimError):
-    """The supplied Lamb-Dicke parameter does not satisfy the single-pulse
-    gate commensurability condition to the required precision."""
-
-
-class InvalidTransitionError(IonsimError):
-    """A pulse addresses a transition that does not exist in the basis."""
-
-
-class BusNotGroundError(IonsimError):
-    """A shared-mode (bus) operation was requested with the bus not in n=0."""
-
-
-class RegisterSizeError(IonsimError):
-    """Requested register size exceeds the supported dense-simulation cap."""
-
-
 class IllConditionedError(IonsimError):
     """A least-squares inversion is too ill-conditioned to be meaningful."""
 

@@ -1,20 +1,27 @@
 """Exact pulse propagators, gate constructions, and error accumulation.
 
-Two layers share this module. The physical layer acts on a single ion's
-(spin x oscillator) state: each pulse is a block-diagonal unitary built
-from the exact resonant two-level propagator, one block per coupled
-|down,n> <-> |up,n'> pair, each at its own matrix element. The symbolic
-layer treats a register of L ions as qubits sharing one bus oscillator
-mode and composes idealized gates (controlled-not between ions, register
-rotations, maximally entangled state preparation) in that reduced space.
+Every pulse goes through one kernel, _drive, which acts on amplitudes in
+the quantum_core layout (spin x Fock levels 0..n_max, after any batch
+axes). A pulse is block-diagonal: one exact resonant two-level propagator
+per coupled |down,n> <-> |up,n'> pair, each at its own matrix element.
+
+The gates are sequences of such pulses. A register of L ions shares one
+bus mode capped at n = 1: from the bus ground state the Cirac-Zoller
+sequence reaches no higher level. An operation on ion j views the
+register as a batch of single-ion states whose batch axes are the other
+ions' spins. A rotation is one carrier pulse. A controlled-not is a
+red-sideband pi pulse on the control, the bus-controlled flip of the
+target (carrier pi/2, blue 2*pi pulse through an auxiliary level, carrier
+pi/2: the same three pulses as cn_gate_three_pulse), and a red pi pulse
+back.
 
 Phase conventions. The resonant propagator carries the -i e^{+-i(phi +
 pi*dn/2)} factors of the interaction-picture solution; a pi carrier pulse
-at phi=0 maps |down> to -i|up>. The symbolic rotation matrix uses the
-mirrored field-phase sign that is conventional for Bloch rotations, so
-the two layers differ by phi -> -phi in their off-diagonal phases. Global
-phases are never stripped silently; fidelities compare |<a|b>|^2 so the
-convention cannot leak into reported numbers.
+at phi=0 maps |down> to -i|up>. register_rotation takes the mirrored
+field-phase sign that is conventional for Bloch rotations and drives its
+carrier at field phase -phi. Global phases are never stripped silently;
+fidelities compare |<a|b>|^2 so the convention cannot leak into reported
+numbers.
 
 Pulse areas. Because the matrix element depends on the Fock level, "a pi
 pulse" is only meaningful against a named reference pair. PulseSpec.theta
@@ -31,15 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import CouplingParams, ladder, rabi_frequency
-from .errors import (
-    BusNotGroundError,
-    InvalidTransitionError,
-    MagicEtaError,
-    ModelInputError,
-    RangeError,
-    RegisterSizeError,
-)
+from .coupling import CouplingParams, ladder
+from .errors import ModelInputError, RangeError, TruncationError
 from .quantum_core import (
     SPIN_DOWN,
     SPIN_UP,
@@ -176,7 +176,7 @@ def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
     with the field phase p.phi + p.phi_err. Every coupled pair evolves for
     the same duration at its own exact matrix element; uncoupled edge
     levels are left untouched. The caller is responsible for checking
-    that those edge levels are unpopulated (apply_pulse does this).
+    that those edge levels are unpopulated (_drive does this).
     """
     iu, il, blk = _pulse_blocks(p, n_max)
     U = np.eye(2 * (n_max + 1), dtype=complex)
@@ -187,26 +187,22 @@ def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
     return U
 
 
-def apply_pulse(state: QuantumState, p: PulseSpec) -> QuantumState:
-    """Apply one pulse to a state, or a batch of states, and return the result.
+def _drive(amps: np.ndarray, p: PulseSpec) -> np.ndarray:
+    """One pulse on amplitudes of shape batch + (2(n_max+1),), in the
+    quantum_core layout; returns new amplitudes.
 
     The field phase is p.phi + p.phi_err; a pulse with one zeta, phi or
-    phi_err per trial broadcasts against the state's batch axis. A
-    sideband pulse is refused (InvalidTransitionError) whenever the edge
-    level whose partner would sit above the Fock truncation carries
-    population above 1e-12 in any state. The pulse acts pair by pair; no
-    full-space matrix is built. Population in the top two Fock levels
-    above DEFAULT_EPS_TRUNC raises TruncationWarning.
+    phi_err per trial broadcasts against the batch axes. A sideband pulse
+    is refused (TruncationError) whenever the edge level whose partner
+    would sit above the Fock truncation carries population above 1e-12 in
+    any state. The pulse acts pair by pair; no full-space matrix is built.
     """
-    if not isinstance(state, QuantumState):
-        raise ModelInputError("apply_pulse acts on a QuantumState")
-    n_max = state.n_max
-    amps = state.amplitudes
+    n_max = amps.shape[-1] // 2 - 1
     if p.transition != "carrier":
         # the edge level whose partner lies above the truncation
         spin = SPIN_DOWN if p.transition == "blue" else SPIN_UP
         if np.any(np.abs(amps[..., index_of(spin, n_max, n_max)]) ** 2 > 1e-12):
-            raise InvalidTransitionError(
+            raise TruncationError(
                 f"{p.transition} sideband from ({spin},{n_max}) "
                 f"would leave the truncation n_max={n_max}"
             )
@@ -216,7 +212,18 @@ def apply_pulse(state: QuantumState, p: PulseSpec) -> QuantumState:
               blk[..., 1, 0] * up + blk[..., 1, 1] * lo)
     amps = np.broadcast_to(amps, up.shape[:-1] + amps.shape[-1:]).copy()
     amps[..., iu], amps[..., il] = up, lo
-    out = QuantumState(amps, n_max)
+    return amps
+
+
+def apply_pulse(state: QuantumState, p: PulseSpec) -> QuantumState:
+    """Apply one pulse to a state, or a batch of states, and return the result.
+
+    The pulse is _drive's, on the state's amplitudes. Population in the
+    top two Fock levels above DEFAULT_EPS_TRUNC raises TruncationWarning.
+    """
+    if not isinstance(state, QuantumState):
+        raise ModelInputError("apply_pulse acts on a QuantumState")
+    out = QuantumState(_drive(state.amplitudes, p), state.n_max)
     truncation_guard(out.truncation_tail())
     return out
 
@@ -264,47 +271,53 @@ def _truth_table(U: np.ndarray, basis) -> dict:
 
 
 _CN_BASIS = ("dn0", "up0", "dn1", "up1")
+_CN_ORDER = [0, 2, 1, 3]  # quantum_core dn0, dn1, up0, up1 -> _CN_BASIS
 _CN_IDEAL = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
 
+# Couplings of the register pulses. A pulse is exact on its reference
+# pair, the only sideband pair below the bus cap, so no result depends on
+# _BUS; _CARRIER drives every bus level alike.
+_BUS = CouplingParams(1.0, 0.1)
+_CARRIER = CouplingParams(1.0, 0.0)
+
+
+def _bus_flip(amps: np.ndarray, blue: CouplingParams, phi_a: float) -> np.ndarray:
+    """Flip the spin of the states whose bus mode holds one quantum.
+
+    Acts on amplitudes batch + (4,): one ion's spin x bus levels {0, 1}
+    in the quantum_core layout. A carrier pi/2 at phase phi_a, a blue
+    2*pi pulse at coupling blue, and a carrier pi/2 at phase phi_a + pi.
+    The blue pulse drives an auxiliary level, the lower spin of a second
+    two-level array whose upper spin holds |up>. Its one pair below the
+    bus cap, |aux,0> <-> |up,1>, is the reference pair, so the pulse flips
+    the sign of |up,1> and leaves |up,0> alone. The auxiliary level must
+    end empty (checked to 1e-12).
+    """
+    amps = _drive(amps, PulseSpec("carrier", 0.5 * math.pi, _CARRIER, phi=phi_a))
+    up = amps[..., 2:]
+    aux = _drive(np.concatenate([np.zeros_like(up), up], axis=-1),
+                 PulseSpec("blue", 2.0 * math.pi, blue))
+    leak = float(np.max(np.abs(aux[..., :2])))
+    if leak > 1e-12:
+        raise ModelInputError(f"auxiliary level retains amplitude {leak:.2e}")
+    amps = np.concatenate([amps[..., :2], aux[..., 2:]], axis=-1)
+    return _drive(amps, PulseSpec("carrier", 0.5 * math.pi, _CARRIER, phi=phi_a + math.pi))
+
+
 def cn_gate_three_pulse(aux_coupling: CouplingParams, phi_a: float = 0.0) -> GateReport:
     """Controlled-not (bus occupation controls the spin) via an auxiliary level.
 
-    Composite of three pulses: a carrier pi/2 at phase phi_a, a 2*pi pulse
-    on the blue sideband joining the auxiliary level to |up> (which flips
-    the sign of |up,1> through its partner |aux,0>), and a second carrier
-    pi/2 at phase phi_a + pi. Internally the space is three internal
-    levels x bus {0,1}; the auxiliary level is never populated at the end
-    (checked to 1e-12) and the report is restricted to the computational
+    The three pulses of _bus_flip on one ion with its bus mode capped at
+    n = 1: a carrier pi/2 at phase phi_a, a 2*pi pulse at aux_coupling on
+    the blue sideband joining the auxiliary level to |up> (which flips the
+    sign of |up,1> through its partner |aux,0>), and a second carrier pi/2
+    at phase phi_a + pi. The report is restricted to the computational
     basis dn0, up0, dn1, up1.
-
-    Each carrier is the resonant _rotation_block of the physical layer,
-    identical on both bus levels. The pair (aux,1) <-> (up,2) sits above
-    the bus cap and idles; it is never reached from the computational
-    subspace.
     """
-    if rabi_frequency(1, 0, aux_coupling) == 0.0:
-        raise RangeError("auxiliary sideband matrix element vanishes")
-
-    # internal levels: 0 = dn, 1 = up, 2 = aux; index = level*2 + bus n
-    def carrier(phi):
-        blk = _rotation_block(1.0, 0.25 * math.pi, phi, 0)  # pi/2 pulse
-        M = np.eye(6, dtype=complex)
-        M[:4, :4] = np.kron(blk[::-1, ::-1], np.eye(2))  # (up, dn) -> (dn, up)
-        return M
-
-    sign_flip = np.eye(6, dtype=complex)
-    sign_flip[1 * 2 + 1, 1 * 2 + 1] = -1.0  # up,1
-    sign_flip[2 * 2 + 0, 2 * 2 + 0] = -1.0  # aux,0
-
-    U6 = carrier(phi_a + math.pi) @ sign_flip @ carrier(phi_a)
-    comp = [0, 2, 1, 3]  # dn0, up0, dn1, up1
-    leak = float(np.max(np.abs(U6[np.ix_([4, 5], comp)])))
-    if leak > 1e-12:
-        raise ModelInputError(f"auxiliary level retains amplitude {leak:.2e}")
-    U = U6[np.ix_(comp, comp)]
+    U = _bus_flip(np.eye(4, dtype=complex), aux_coupling, phi_a).T[np.ix_(_CN_ORDER, _CN_ORDER)]
     require_unitary(U)
     return GateReport(
         unitary=U,
@@ -331,7 +344,7 @@ def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0) -> GateRe
         raise RangeError("need k >= 0 and m >= k+1")
     target = math.sqrt(1.0 - (2 * k + 1) / (2 * m))
     if abs(eta - target) > 1e-10:
-        raise MagicEtaError(
+        raise RangeError(
             f"eta={eta!r} is not the magic value {target!r} for (k={k}, m={m})"
         )
     p = PulseSpec(
@@ -341,10 +354,7 @@ def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0) -> GateRe
         phi=-phi - math.pi,
         reference_pair=(1, 1),
     )
-    U_full = pulse_unitary(p, n_max=1)
-    # quantum_core ordering dn0,dn1,up0,up1 -> report ordering dn0,up0,dn1,up1
-    perm = [0, 2, 1, 3]
-    U = (-1.0) ** m * U_full[np.ix_(perm, perm)]
+    U = (-1.0) ** m * pulse_unitary(p, n_max=1)[np.ix_(_CN_ORDER, _CN_ORDER)]
     require_unitary(U)
     return GateReport(
         unitary=U,
@@ -355,62 +365,69 @@ def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0) -> GateRe
 
 
 # ---------------------------------------------------------------------------
-# symbolic register of L qubits sharing one bus mode
+# register of L ions sharing one bus mode
 
 
 @dataclass
 class RegisterState:
-    """L spins plus one shared bus oscillator, amplitudes (2^L, n_bus+1).
+    """L spins plus one shared bus mode capped at n = 1, amplitudes (2^L, 2).
 
-    Bit j of the first index is the spin of ion j (0 = down). The register
-    layer is symbolic: gates act as exact maps, there is no per-ion
-    motional space.
+    Bit j of the first index is the spin of ion j (0 = down); the second
+    index is the bus level.
     """
 
     L: int
-    n_bus: int
     amps: np.ndarray
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
     def bus_excited_weight(self) -> float:
-        return float(np.sum(np.abs(self.amps[:, 1:]) ** 2))
+        return float(np.sum(np.abs(self.amps[:, 1]) ** 2))
 
     def reduced_spin_purity(self, j: int) -> float:
         """Purity of ion j's reduced density matrix."""
-        lo, hi = _ion_rows(self, j)
-        A0 = self.amps[lo, :].ravel()
-        A1 = self.amps[hi, :].ravel()
+        a = _split_ion(self, j)
+        A0 = a[:, 0].ravel()
+        A1 = a[:, 1].ravel()
         r00 = np.vdot(A0, A0)
         r11 = np.vdot(A1, A1)
         r01 = np.vdot(A1, A0)
         return float(abs(r00) ** 2 + abs(r11) ** 2 + 2 * abs(r01) ** 2)
 
     def copy(self) -> "RegisterState":
-        return RegisterState(self.L, self.n_bus, self.amps.copy())
+        return RegisterState(self.L, self.amps.copy())
 
 
-def _ion_rows(reg: RegisterState, j: int):
-    """Register rows with ion j down, and the same rows with it up."""
+def _split_ion(reg: RegisterState, j: int) -> np.ndarray:
+    """The amplitudes as (2^(L-1-j), 2, 2^j, 2): ion j's spin on axis 1."""
     if not 0 <= j < reg.L:
         raise RangeError(f"ion index {j} outside register of {reg.L}")
-    b = np.arange(2**reg.L)
-    lo = b[(b >> j) & 1 == 0]
-    return lo, lo | (1 << j)
+    return reg.amps.reshape(2 ** (reg.L - 1 - j), 2, 2**j, 2)
 
 
-def register_ground(L: int, n_bus: int = 1) -> RegisterState:
+def _on_ion(reg: RegisterState, j: int, op) -> RegisterState:
+    """Apply op to ion j of the register.
+
+    op maps single-ion amplitudes, (2^(L-1-j), 2^j, 4) in the quantum_core
+    layout with the bus as the Fock mode: the other ions' spins are batch
+    axes.
+    """
+    a = _split_ion(reg, j)
+    hi, lo = a.shape[0], a.shape[2]
+    out = op(np.moveaxis(a, 1, 2).reshape(hi, lo, 4))
+    return RegisterState(reg.L, np.moveaxis(out.reshape(hi, lo, 2, 2), 2, 1).reshape(-1, 2))
+
+
+def register_ground(L: int) -> RegisterState:
     """All spins down, bus in |0>."""
     if L < 1:
         raise RangeError("register needs at least one ion")
     if L > DEFAULT_REGISTER_CAP:
-        raise RegisterSizeError(f"register of {L} ions exceeds the cap of {DEFAULT_REGISTER_CAP}")
-    if n_bus < 1:
-        raise RangeError("bus mode needs n_bus >= 1")
-    amps = np.zeros((2**L, n_bus + 1), dtype=complex)
+        raise RangeError(f"register of {L} ions exceeds the cap of {DEFAULT_REGISTER_CAP}")
+    amps = np.zeros((2**L, 2), dtype=complex)
     amps[0, 0] = 1.0
-    return RegisterState(L, n_bus, amps)
+    return RegisterState(L, amps)
 
 
 def register_rotation(reg: RegisterState, ion: int, theta: float, phi: float) -> RegisterState:
@@ -419,80 +436,45 @@ def register_rotation(reg: RegisterState, ion: int, theta: float, phi: float) ->
     Matrix convention (basis down, up):
         [[cos(theta/2),            -i e^{+i phi} sin(theta/2)],
          [-i e^{-i phi} sin(theta/2), cos(theta/2)          ]]
-    This is the resonant _rotation_block at field phase -phi, read in the
-    (down, up) order: the register mirrors the physical layer's phi sign.
+    This is a carrier pulse of area theta at field phase -phi: the
+    register mirrors the pulses' phi sign. A negative theta is the
+    rotation by |theta| at phase phi + pi.
     """
-    lo, hi = _ion_rows(reg, ion)
-    U = _rotation_block(1.0, 0.5 * theta, -phi, 0)[::-1, ::-1]
-    out = reg.amps.copy()
-    a_lo = reg.amps[lo, :]
-    a_hi = reg.amps[hi, :]
-    out[lo, :] = U[0, 0] * a_lo + U[0, 1] * a_hi
-    out[hi, :] = U[1, 0] * a_lo + U[1, 1] * a_hi
-    return RegisterState(reg.L, reg.n_bus, out)
-
-
-def _red_pi_map_in(amps: np.ndarray, lo, hi) -> np.ndarray:
-    """Red-sideband pi pulse on one ion at phase 0: |up,n> -> -|dn,n+1>."""
-    out = np.zeros_like(amps)
-    out[lo, 0] = amps[lo, 0]  # (dn,0) has no partner
-    out[hi, :-1] = amps[lo, 1:]
-    out[lo, 1:] = -amps[hi, :-1]
-    out[hi, -1] = amps[hi, -1]  # partner above the bus cap
-    return out
-
-
-def _red_pi_map_out(amps: np.ndarray, lo, hi) -> np.ndarray:
-    """Exact inverse of _red_pi_map_in."""
-    out = np.zeros_like(amps)
-    out[lo, 0] = amps[lo, 0]
-    out[lo, 1:] = amps[hi, :-1]
-    out[hi, :-1] = -amps[lo, 1:]
-    out[hi, -1] = amps[hi, -1]
-    return out
-
-
-def _bus_cn_on_spin(amps: np.ndarray, t_lo, t_hi) -> np.ndarray:
-    """Flip spin t on the bus n=1 column; higher bus levels idle."""
-    out = amps.copy()
-    out[t_lo, 1] = amps[t_hi, 1]
-    out[t_hi, 1] = amps[t_lo, 1]
-    return out
+    p = PulseSpec("carrier", abs(theta), _CARRIER, phi=-phi + math.pi * (theta < 0))
+    return _on_ion(reg, ion, lambda a: _drive(a, p))
 
 
 def apply_cn_between_ions(reg: RegisterState, c: int, t: int) -> RegisterState:
     """Controlled-not of ion c onto ion t through the bus mode.
 
-    Map-in: red-sideband pi pulse writes c's spin onto the bus (and must
-    find the bus in |0>, else BusNotGroundError). Middle: the exact
-    bus-controlled flip of t (the three-pulse composite at phase -pi/2,
-    where it reduces to a pure permutation). Map-out: the exact inverse
-    of the map-in. The composite is the textbook controlled-not with no
-    residual phases and restores the bus to |0>.
+    Map-in: a red-sideband pi pulse on c writes its spin onto the bus (and
+    must find the bus in |0>, else ModelInputError). Middle: _bus_flip on
+    t at phase -pi/2, where the three-pulse composite flips t exactly when
+    the bus holds a quantum. Map-out: a red pi pulse on c at phase pi, the
+    inverse of the map-in. The composite is the textbook controlled-not
+    with no residual phases and restores the bus to |0>.
     """
-    c_lo, c_hi = _ion_rows(reg, c)
-    t_lo, t_hi = _ion_rows(reg, t)
     if c == t:
         raise ModelInputError("control and target must differ")
     w = reg.bus_excited_weight()
     if w > 1e-12:
-        raise BusNotGroundError(f"bus mode carries weight {w:.2e} outside |0>")
-    a = _red_pi_map_in(reg.amps, c_lo, c_hi)
-    a = _bus_cn_on_spin(a, t_lo, t_hi)
-    a = _red_pi_map_out(a, c_lo, c_hi)
-    return RegisterState(reg.L, reg.n_bus, a)
+        raise ModelInputError(f"bus mode carries weight {w:.2e} outside |0>")
+    reg = _on_ion(reg, c, lambda a: _drive(a, PulseSpec("red", math.pi, _BUS)))
+    reg = _on_ion(reg, t, lambda a: _bus_flip(a, _BUS, -0.5 * math.pi))
+    return _on_ion(reg, c, lambda a: _drive(a, PulseSpec("red", math.pi, _BUS, phi=math.pi)))
 
 
-def prepare_max_entangled(L: int, n_bus: int = 1) -> RegisterState:
+def prepare_max_entangled(L: int) -> RegisterState:
     """Drive the register to (|dn...dn> + |up...up>)/sqrt(2) x |0>.
 
     A pi/2 rotation on ion 0 (field phase -pi/2, which in the rotation
     convention gives the real, plus-signed superposition) followed by a
-    chain of controlled-nots from ion 0 onto each other ion.
+    chain of controlled-nots from ion 0 onto each other ion: 5L - 4
+    pulses.
     """
     if L < 2:
         raise RangeError("need at least two ions to entangle")
-    reg = register_ground(L, n_bus=n_bus)
+    reg = register_ground(L)
     reg = register_rotation(reg, 0, 0.5 * math.pi, -0.5 * math.pi)
     for i in range(1, L):
         reg = apply_cn_between_ions(reg, 0, i)

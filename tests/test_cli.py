@@ -482,7 +482,7 @@ def _bounded_fields(schema, prefix=""):
 # every integer that sizes an array, so that dropping its cap fails a case
 CAPPED = {
     ("trap", "trajectory.points"), ("trap", "chain.L"), ("modes", "L_values"),
-    ("rabi", "n_top"), ("rabi", "tau.points"), ("gate", "n_bus"),
+    ("rabi", "n_top"), ("rabi", "tau.points"), ("gate", "L"),
     ("gate", "M_values"), ("gate", "trials"), ("cool", "cycles"),
     ("cool", "scatters_per_cycle"), ("cool", "initial.n_max"),
     ("heat", "initial.n_max"), ("heat", "points"), ("noise", "mode_count"),
@@ -668,7 +668,7 @@ def test_choice_fields_scope_later_keys_of_their_schema():
                     assert order.index(key) > order.index(name), \
                         f"{where} comes after the key {key} it scopes"
     # the (choice, key) pairs the schemas reject; scoping a key moves it
-    assert len(CHOICE_PAIRS) == 101
+    assert len(CHOICE_PAIRS) == 98
 
 
 @pytest.mark.parametrize("kind,field,choice,key", CHOICE_PAIRS,

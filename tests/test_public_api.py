@@ -14,6 +14,8 @@ import ast
 import re
 from pathlib import Path
 
+from ionsim import errors
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ionsim"
 TREES = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
@@ -187,3 +189,28 @@ def test_every_option_outside_the_list_is_set_by_a_caller():
              if owner not in TEST_ONLY
              and not {(owner, name), (owner, i), (owner, None), ("replace", name)} & found}
     assert unset == TEST_ONLY_OPTIONS
+
+
+# the exception and warning classes a caller can catch; a new one must
+# mean something that none of these does, and is added here by name
+ERROR_CLASSES = {
+    "IonsimError", "ConfigError", "ConvergenceError", "DimensionError",
+    "IllConditionedError", "InstabilityError", "ModelInputError",
+    "NoRootError", "RangeError", "RegimeError", "SingularSystemError",
+    "TruncationError", "RegimeWarning", "TruncationWarning",
+}
+
+
+def test_error_classes_are_pinned():
+    found = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert found == ERROR_CLASSES
+    # and no other module of the package defines one
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not [node.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef) and node.bases
+                        and any(getattr(b, "id", "").endswith(("Error", "Warning",
+                                                               "Exception"))
+                                for b in node.bases)], path.name

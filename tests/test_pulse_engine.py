@@ -7,10 +7,15 @@ Oracles used here and nowhere else:
   * hand-built flop matrices from the two carrier matrix elements for
     the magic-value gate;
   * closed-form worst-case fidelities cos^2(zeta/2), cos^2(M zeta/2),
-    cos^2(sum zeta/2) for area-error accumulation.
+    cos^2(sum zeta/2) for area-error accumulation;
+  * exact symbolic maps for the register and three-pulse gates (the red
+    pi map-in and map-out, the bus-controlled flip, the rotation matrix
+    and the 6x6 auxiliary-level composite), against the pulse sequences
+    that now build those gates.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,19 +25,18 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from ionsim.coupling import CouplingParams, rabi_frequency
+from ionsim import pulse_engine
 from ionsim.errors import (
-    BusNotGroundError,
-    InvalidTransitionError,
-    MagicEtaError,
     ModelInputError,
     RangeError,
-    RegisterSizeError,
+    TruncationError,
     TruncationWarning,
 )
 from ionsim.pulse_engine import (
     PulseSpec,
     RegisterState,
     TRANSITIONS,
+    _drive,
     _rotation_block,
     apply_cn_between_ions,
     apply_pulse,
@@ -211,11 +215,18 @@ def test_pulse_unitary_support_pattern():
 def test_invalid_transitions_guarded():
     c = CouplingParams(1.0, 0.1)
     top = make_state("fock", n_max=3, n=3)  # |dn,3>
-    with pytest.raises(InvalidTransitionError):
+    with pytest.raises(TruncationError, match=r"blue sideband from \(down,3\)"):
         apply_pulse(top, PulseSpec("blue", math.pi, c))
     top_up = make_state("fock", n_max=3, spin=SPIN_UP, n=3)
-    with pytest.raises(InvalidTransitionError):
+    with pytest.raises(TruncationError, match=r"red sideband from \(up,3\)"):
         apply_pulse(top_up, PulseSpec("red", math.pi, c))
+    # the kernel refuses it too, on a batch with the bus capped at n = 1,
+    # as register pulses drive it
+    amps = np.zeros((3, 2, 4), dtype=complex)
+    amps[..., 0] = 1.0
+    amps[2, 1, :] = [0.0, 0.0, 0.6, 0.8]              # |up,1> populated
+    with pytest.raises(TruncationError, match=r"n_max=1"):
+        _drive(amps, PulseSpec("red", math.pi, c))
     # unpopulated edge levels are fine
     safe = make_state("fock", n_max=5, n=1)
     apply_pulse(safe, PulseSpec("blue", math.pi, c))
@@ -355,7 +366,7 @@ def test_apply_pulse_batch_matches_row_by_row_calls():
         assert np.max(np.abs(ov - rowwise)) <= 1e-15
     # a stranded edge level in any one state of the batch refuses the pulse
     rows[3, n_max] = 1e-3
-    with pytest.raises(InvalidTransitionError, match=rf"\(down,{n_max}\)"):
+    with pytest.raises(TruncationError, match=rf"\(down,{n_max}\)"):
         apply_pulse(QuantumState(rows, n_max), PulseSpec("blue", 0.7, c))
 
 
@@ -438,7 +449,7 @@ def test_single_pulse_phase_convention():
 
 
 def test_single_pulse_magic_guard():
-    with pytest.raises(MagicEtaError):
+    with pytest.raises(RangeError, match="is not the magic value"):
         cn_gate_single_pulse(0, 1, 1.0 / math.sqrt(2.0) + 1e-6)
     with pytest.raises(RangeError):
         cn_gate_single_pulse(-1, 1, 0.5)
@@ -488,10 +499,8 @@ def test_single_pulse_detuned_eta_quadratic_infidelity():
 def test_register_ground_validation():
     with pytest.raises(RangeError):
         register_ground(0)
-    with pytest.raises(RegisterSizeError):
+    with pytest.raises(RangeError, match="exceeds the cap of 12"):
         register_ground(13)
-    with pytest.raises(RangeError):
-        register_ground(2, n_bus=0)
     reg = register_ground(3)
     assert reg.amps.shape == (8, 2)
     assert reg.norm() == pytest.approx(1.0)
@@ -509,7 +518,7 @@ def test_register_rotation_norm_and_bounds():
     reg = register_ground(3)
     a = rng.normal(size=reg.amps.shape) + 1j * rng.normal(size=reg.amps.shape)
     a /= np.linalg.norm(a)
-    reg = RegisterState(3, 1, a)
+    reg = RegisterState(3, a)
     out = register_rotation(reg, 2, 1.1, 0.3)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(RangeError):
@@ -526,7 +535,7 @@ def test_apply_cn_register_basis_actions():
         reg = register_ground(2)
         amps = np.zeros((4, 2), dtype=complex)
         amps[sc + 2 * st_, 0] = 1.0
-        reg = RegisterState(2, 1, amps)
+        reg = RegisterState(2, amps)
         out = apply_cn_between_ions(reg, 0, 1)
         assert abs(out.amps[ec + 2 * et, 0] - 1.0) < 1e-12
         assert out.bus_excited_weight() < 1e-10
@@ -537,7 +546,7 @@ def test_apply_cn_guards():
     bad = reg.copy()
     bad.amps[0, 0] = 0.0
     bad.amps[1, 1] = 1.0
-    with pytest.raises(BusNotGroundError):
+    with pytest.raises(ModelInputError, match=r"outside \|0>"):
         apply_cn_between_ions(bad, 0, 1)
     with pytest.raises(ModelInputError):
         apply_cn_between_ions(reg, 0, 0)
@@ -566,8 +575,153 @@ def test_prepare_max_entangled_family():
             assert reg.reduced_spin_purity(j) == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(RangeError):
         prepare_max_entangled(1)
-    with pytest.raises(RegisterSizeError):
+    with pytest.raises(RangeError, match="exceeds the cap of 12"):
         prepare_max_entangled(13)
+
+
+# ------------------------------------------------ symbolic gate oracles
+# The exact maps that composed the register and three-pulse gates before
+# they became pulse sequences, kept as their oracle. Registers hold bus
+# levels 0 and 1; bit j of the row index is ion j's spin.
+
+
+def _rows(L, j):
+    """Register rows with ion j down, and the same rows with it up."""
+    b = np.arange(2**L)
+    lo = b[(b >> j) & 1 == 0]
+    return lo, lo | (1 << j)
+
+
+def _red_pi_map_in(amps, lo, hi):
+    """Red-sideband pi pulse on one ion at phase 0: |up,n> -> -|dn,n+1>."""
+    out = np.zeros_like(amps)
+    out[lo, 0] = amps[lo, 0]  # (dn,0) has no partner
+    out[hi, :-1] = amps[lo, 1:]
+    out[lo, 1:] = -amps[hi, :-1]
+    out[hi, -1] = amps[hi, -1]  # partner above the bus cap
+    return out
+
+
+def _red_pi_map_out(amps, lo, hi):
+    """Exact inverse of _red_pi_map_in."""
+    out = np.zeros_like(amps)
+    out[lo, 0] = amps[lo, 0]
+    out[lo, 1:] = amps[hi, :-1]
+    out[hi, :-1] = -amps[lo, 1:]
+    out[hi, -1] = amps[hi, -1]
+    return out
+
+
+def _bus_cn_on_spin(amps, t_lo, t_hi):
+    """Flip spin t on the bus n=1 column; higher bus levels idle."""
+    out = amps.copy()
+    out[t_lo, 1] = amps[t_hi, 1]
+    out[t_hi, 1] = amps[t_lo, 1]
+    return out
+
+
+def _symbolic_cn(amps, L, c, t):
+    c_lo, c_hi = _rows(L, c)
+    a = _bus_cn_on_spin(_red_pi_map_in(amps, c_lo, c_hi), *_rows(L, t))
+    return _red_pi_map_out(a, c_lo, c_hi)
+
+
+def _symbolic_rotation(amps, L, j, theta, phi):
+    """The Bloch rotation matrix of register_rotation's docstring on ion j."""
+    lo, hi = _rows(L, j)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    out = amps.copy()
+    out[lo] = c * amps[lo] - 1j * np.exp(1j * phi) * s * amps[hi]
+    out[hi] = -1j * np.exp(-1j * phi) * s * amps[lo] + c * amps[hi]
+    return out
+
+
+def _symbolic_three_pulse(phi_a):
+    """Carrier pi/2 pulses around an exact sign flip of |up,1> and |aux,0>,
+    on internal levels (dn, up, aux) x bus {0, 1}, index level*2 + n;
+    returned on the basis dn0, up0, dn1, up1."""
+    def carrier(phi):                   # pi/2 on (dn, up), both bus levels
+        h = math.sqrt(0.5)
+        blk = np.array([[h, -1j * np.exp(-1j * phi) * h],
+                        [-1j * np.exp(1j * phi) * h, h]])
+        M = np.eye(6, dtype=complex)
+        M[:4, :4] = np.kron(blk, np.eye(2))
+        return M
+
+    sign_flip = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, 1.0]).astype(complex)
+    U6 = carrier(phi_a + math.pi) @ sign_flip @ carrier(phi_a)
+    assert np.max(np.abs(U6[4:, :4])) == 0.0          # the auxiliary level ends empty
+    comp = [0, 2, 1, 3]
+    return U6[np.ix_(comp, comp)]
+
+
+def _random_register(rng, L, bus_levels=1):
+    a = np.zeros((2**L, 2), dtype=complex)
+    a[:, :bus_levels] = (rng.normal(size=(2**L, bus_levels))
+                         + 1j * rng.normal(size=(2**L, bus_levels)))
+    return a / np.linalg.norm(a)
+
+
+def test_register_gates_match_symbolic_maps():
+    rng = np.random.default_rng(61)
+
+    def bus_flip(x):
+        return pulse_engine._bus_flip(x, pulse_engine._BUS, -0.5 * math.pi)
+
+    for L in (2, 3, 4):
+        for c in range(L):
+            for t in range(L):
+                if c == t:
+                    continue
+                a = _random_register(rng, L)
+                got = apply_cn_between_ions(RegisterState(L, a), c, t).amps
+                assert np.max(np.abs(got - _symbolic_cn(a, L, c, t))) <= 1e-15
+                # the middle of the gate flips t on bus n = 1 alone, from any state
+                a = _random_register(rng, L, bus_levels=2)
+                got = pulse_engine._on_ion(RegisterState(L, a), t, bus_flip).amps
+                assert np.max(np.abs(got - _bus_cn_on_spin(a, *_rows(L, t)))) <= 1e-15
+        for j in range(L):
+            a = _random_register(rng, L, bus_levels=2)
+            theta, phi = rng.uniform(-2 * math.pi, 4 * math.pi), rng.uniform(-math.pi, math.pi)
+            got = register_rotation(RegisterState(L, a), j, theta, phi).amps
+            assert np.max(np.abs(got - _symbolic_rotation(a, L, j, theta, phi))) <= 1e-15
+
+
+def test_three_pulse_matches_symbolic_composite():
+    for aux_eta in (0.05, 0.25, 0.7):
+        for phi_a in (0.0, 0.4, -math.pi / 2, 2.9):
+            rep = cn_gate_three_pulse(CouplingParams(1.3, aux_eta), phi_a=phi_a)
+            assert np.max(np.abs(rep.unitary - _symbolic_three_pulse(phi_a))) <= 1e-15
+
+
+def test_entangling_chain_is_5L_minus_4_pulses(monkeypatch):
+    drive, pulses = pulse_engine._drive, []
+
+    def counted(amps, p):
+        pulses.append(p.transition)
+        return drive(amps, p)
+
+    monkeypatch.setattr(pulse_engine, "_drive", counted)
+    for L in (2, 3, 6):
+        pulses.clear()
+        prepare_max_entangled(L)
+        # one rotation, then per controlled-not two red pi pulses around
+        # two carrier pi/2 pulses and one blue 2*pi pulse
+        assert len(pulses) == 5 * L - 4
+        assert [pulses.count(tr) for tr in TRANSITIONS] == [2 * L - 1, 2 * L - 2, L - 1]
+
+
+def test_entangling_chain_at_the_register_cap_stays_small():
+    # pulses act on the register viewed as a batch of single ions; blocks
+    # tiled over its 4,096 rows would take hundreds of MiB
+    tracemalloc.start()
+    try:
+        reg = prepare_max_entangled(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert abs(reg.amps[0, 0]) ** 2 + abs(reg.amps[-1, 0]) ** 2 >= 1.0 - 1e-12
 
 
 # ------------------------------------------------------- noisy sequences
