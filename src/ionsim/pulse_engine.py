@@ -4,6 +4,9 @@ Every pulse goes through one kernel, _drive, which acts on amplitudes in
 the quantum_core layout (spin x Fock levels 0..n_max, after any batch
 axes). A pulse is block-diagonal: one exact resonant two-level propagator
 per coupled |down,n> <-> |up,n'> pair, each at its own matrix element.
+_pulse_entries gives the two contiguous slices of coupled levels and the
+closed-form entries of every pair's propagator. _drive mixes the slices
+with them; pulse_unitary scatters them into the dense reference matrix.
 
 The gates are sequences of such pulses. A register of L ions shares one
 bus mode capped at n = 1: from the bus ground state the Cirac-Zoller
@@ -96,6 +99,9 @@ class PulseSpec:
             raise ModelInputError(
                 f"unknown transition {self.transition!r}; expected one of {TRANSITIONS}"
             )
+        for name in ("theta", "phi", "zeta", "phi_err"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise RangeError(f"pulse {name} must be finite")
         if self.theta < 0:
             raise RangeError("pulse area theta must be >= 0")
         if self.reference_pair is not None:
@@ -110,38 +116,22 @@ class PulseSpec:
 
 
 # ---------------------------------------------------------------------------
-# two-level building block
-
-
-def _rotation_block(Omega, t: float, phi: float, dn: int) -> np.ndarray:
-    """Resonant propagators of driven (upper, lower) pairs, interaction picture.
-
-    Omega, t and phi may be arrays; the result stacks one 2x2 block per
-    entry of their broadcast, shape broadcast(Omega, t, phi) + (2, 2):
-    cos(Omega t) on the diagonal and -i sin(Omega t) e^{+-i(phi + pi*dn/2)}
-    off it, the upper sign above the diagonal.
-    """
-    Omega = np.asarray(Omega, dtype=float)
-    half = np.abs(Omega) * t
-    c = np.cos(half)
-    off = -1j * np.sign(Omega) * np.sin(half)
-    chi = -phi - 0.5 * math.pi * dn
-    U = np.empty(np.broadcast(off, chi).shape + (2, 2), dtype=complex)
-    U[..., 0, 0] = c
-    U[..., 0, 1] = off * np.exp(-1j * chi)
-    U[..., 1, 0] = off * np.exp(1j * chi)
-    U[..., 1, 1] = c
-    return U
-
-
-# ---------------------------------------------------------------------------
 # pulses on a physical ion
 
 
-def _pulse_blocks(p: PulseSpec, n_max: int):
-    """Flat indices of |up, nu> and |down, nl> for each coupled pair, and
-    the stacked 2x2 propagators, shape batch + (pairs, 2, 2), each checked
-    unitary."""
+def _pulse_entries(p: PulseSpec, n_max: int):
+    """The two slices of coupled levels and each pair's propagator entries.
+
+    Pair n couples |up, nu> and |down, nl> (nu = n + dn on the blue
+    sideband, nl = n + dn on the red); over the pairs each runs through a
+    contiguous range of the quantum_core layout. The pair's resonant
+    propagator, in (upper, lower) order, is [[c, b], [b', c]] with
+    c = cos(|Omega_n| t), b, b' = -i sgn(Omega_n) sin(|Omega_n| t) e^{-+i chi}
+    and chi = -(phi + pi*dn/2); c, b and b' have shape batch + (pairs,).
+    Its U+ U - 1 is diag(c^2 + s^2 - 1) with s = sin(|Omega_n| t): the
+    off-diagonal c b + conj(b') c is zero by construction. So the whole
+    unitarity check is max|c^2 + s^2 - 1| <= 1e-10 (under __debug__).
+    """
     theta_eff = p.theta + np.asarray(p.zeta, dtype=float)
     # a negative area is the same pulse with its phase shifted by pi
     phi_tot = np.where(theta_eff < 0, p.phi + p.phi_err + math.pi, p.phi + p.phi_err)
@@ -153,19 +143,25 @@ def _pulse_blocks(p: PulseSpec, n_max: int):
         ref = (dn, 0)
     if max(ref) > n_max:
         raise ModelInputError(f"reference pair {ref} exceeds n_max={n_max}")
-    # pair n couples Fock levels n and n + dn; blue raises the upper spin's
-    # level, red the lower spin's, and both run at Omega_{n+dn,n}, so the
-    # reference pair is one of them
-    n = np.arange(n_max - dn + 1)
-    Omegas = ladder(dn, n.size, p.coupling)
+    # blue and red pairs both run at Omega_{n+dn,n}, so the reference pair
+    # is one of them
+    pairs = n_max - dn + 1
+    Omegas = ladder(dn, pairs, p.coupling)
     Omega_ref = Omegas[min(ref)]
     if Omega_ref == 0.0:
         raise RangeError(f"reference pair {ref} has a vanishing matrix element")
-    t = theta_eff / (2.0 * abs(Omega_ref))
-    nu, nl = (n, n + dn) if p.transition == "red" else (n + dn, n)
-    blocks = _rotation_block(Omegas, t[..., None], phi_tot[..., None], dn)
-    require_unitary(blocks)
-    return n_max + 1 + nu, nl, blocks
+    half = np.abs(Omegas) * (theta_eff / (2.0 * abs(Omega_ref)))[..., None]
+    c, s = np.cos(half), np.sin(half)
+    if __debug__:
+        defect = np.max(np.abs(c * c + s * s - 1.0))
+        if not defect <= 1e-10:
+            raise ModelInputError(f"pulse propagator is not unitary (defect {defect:.2e})")
+    off = -1j * np.sign(Omegas) * s
+    chi = -phi_tot[..., None] - 0.5 * math.pi * dn
+    nu, nl = (0, dn) if p.transition == "red" else (dn, 0)
+    up = n_max + 1 + nu
+    return (slice(up, up + pairs), slice(nl, nl + pairs),
+            c, off * np.exp(-1j * chi), off * np.exp(1j * chi))
 
 
 def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
@@ -173,17 +169,17 @@ def pulse_unitary(p: PulseSpec, n_max: int) -> np.ndarray:
 
     Takes the pulse and the Fock cutoff n_max and returns the dense
     2(n_max+1) x 2(n_max+1) matrix in the quantum_core basis ordering,
-    with the field phase p.phi + p.phi_err. Every coupled pair evolves for
-    the same duration at its own exact matrix element; uncoupled edge
-    levels are left untouched. The caller is responsible for checking
-    that those edge levels are unpopulated (_drive does this).
+    with the field phase p.phi + p.phi_err: _pulse_entries scattered into
+    the identity. Every coupled pair evolves for the same duration at its
+    own exact matrix element; uncoupled edge levels are left untouched.
+    The caller is responsible for checking that those edge levels are
+    unpopulated (_drive does this).
     """
-    iu, il, blk = _pulse_blocks(p, n_max)
+    up, lo, c, b_ul, b_lu = _pulse_entries(p, n_max)
     U = np.eye(2 * (n_max + 1), dtype=complex)
-    U[iu, iu] = blk[:, 0, 0]
-    U[iu, il] = blk[:, 0, 1]
-    U[il, iu] = blk[:, 1, 0]
-    U[il, il] = blk[:, 1, 1]
+    k = np.arange(U.shape[0])
+    iu, il = k[up], k[lo]
+    U[iu, iu], U[iu, il], U[il, iu], U[il, il] = c, b_ul, b_lu, c
     return U
 
 
@@ -195,7 +191,8 @@ def _drive(amps: np.ndarray, p: PulseSpec) -> np.ndarray:
     phi_err per trial broadcasts against the batch axes. A sideband pulse
     is refused (TruncationError) whenever the edge level whose partner
     would sit above the Fock truncation carries population above 1e-12 in
-    any state. The pulse acts pair by pair; no full-space matrix is built.
+    any state. The pulse mixes the two slices of coupled levels with
+    _pulse_entries' closed-form entries; no matrix is built.
     """
     n_max = amps.shape[-1] // 2 - 1
     if p.transition != "carrier":
@@ -206,12 +203,11 @@ def _drive(amps: np.ndarray, p: PulseSpec) -> np.ndarray:
                 f"{p.transition} sideband from ({spin},{n_max}) "
                 f"would leave the truncation n_max={n_max}"
             )
-    iu, il, blk = _pulse_blocks(p, n_max)
-    up, lo = amps[..., iu], amps[..., il]
-    up, lo = (blk[..., 0, 0] * up + blk[..., 0, 1] * lo,
-              blk[..., 1, 0] * up + blk[..., 1, 1] * lo)
-    amps = np.broadcast_to(amps, up.shape[:-1] + amps.shape[-1:]).copy()
-    amps[..., iu], amps[..., il] = up, lo
+    up, lo, c, b_ul, b_lu = _pulse_entries(p, n_max)
+    a_up, a_lo = amps[..., up], amps[..., lo]
+    a_up, a_lo = c * a_up + b_ul * a_lo, b_lu * a_up + c * a_lo
+    amps = np.broadcast_to(amps, a_up.shape[:-1] + amps.shape[-1:]).copy()
+    amps[..., up], amps[..., lo] = a_up, a_lo
     return amps
 
 
@@ -501,8 +497,9 @@ def noisy_sequence_fidelity(
     trials coincide). Per-pulse injections already present in the specs
     are kept and the drawn errors add to them. With M the longest length
     read, trial k seeds default_rng(base_seed + k) once and draws M area,
-    then M phase errors (a zero rms draws none); one ideal run and all
-    trials, as one batch, then pass through seq[:M].
+    then M phase errors (a zero rms draws none). One batch then passes
+    through seq[:M], one apply_pulse call per pulse: row 0 is the ideal
+    run, with zero zeta and phi_err, and row k + 1 is trial k.
 
     lengths (prefix lengths in 1..len(seq), any order, repeats allowed)
     returns one result per entry, each read after its first m pulses;
@@ -541,17 +538,18 @@ def noisy_sequence_fidelity(
     def errors(rms, col):       # one error per trial, from draw column col
         return rms * draws[:, col] if rms > 0 and not systematic else np.full(trials, rms)
 
-    ideal = noisy = make_state("fock", n_max=n_max)
+    state = make_state("fock", n_max=n_max)
     zeta_sum, found = 0, dict.fromkeys(want)
     for i, p in enumerate(seq[:M]):
-        ideal = apply_pulse(ideal, replace(p, zeta=0.0, phi_err=0.0))
-        noisy = apply_pulse(noisy, replace(p, zeta=p.zeta + errors(zeta_rms, i),
-                                           phi_err=p.phi_err + errors(phi_rms, M * drawn[0] + i)))
+        state = apply_pulse(state, replace(
+            p, zeta=np.append(0.0, p.zeta + errors(zeta_rms, i)),
+            phi_err=np.append(0.0, p.phi_err + errors(phi_rms, M * drawn[0] + i))))
         zeta_sum += p.zeta
         m = i + 1
         if m not in found:
             continue
-        fids = np.abs(overlap(ideal, noisy)) ** 2
+        a = state.amplitudes
+        fids = np.abs(overlap(QuantumState(a[0], n_max), QuantumState(a[1:], n_max))) ** 2
         F_mean = float(np.mean(fids))
         if systematic or zeta_rms == 0.0:
             S = zeta_sum + (m * zeta_rms if systematic else 0.0)

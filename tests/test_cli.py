@@ -1092,8 +1092,8 @@ def test_bundled_heat_run_makes_one_expm_call(tmp_path, monkeypatch):
 
 
 def test_bundled_gate_sweep_seeds_each_trial_once(tmp_path, monkeypatch):
-    # one sweep to the longest M = 16: one stream per trial, and the ideal
-    # state and the trial batch each pass through 16 pulses
+    # one sweep to the longest M = 16: one stream per trial, and one batch
+    # (the ideal run in row 0, then the trials) passes through 16 pulses
     from ionsim import pulse_engine
 
     real_rng, real_apply = np.random.default_rng, pulse_engine.apply_pulse
@@ -1111,7 +1111,7 @@ def test_bundled_gate_sweep_seeds_each_trial_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pulse_engine, "apply_pulse", counting_apply)
     assert cli.main(["run", "gate.error_budget", "--out", str(tmp_path)]) == 0
     assert seeds == list(range(7, 7 + 300))
-    assert len(pulses) == 2 * 16
+    assert len(pulses) == 16
 
 
 def test_gate_sweep_rows_follow_config_order(tmp_path, capsys):

@@ -37,7 +37,7 @@ from ionsim.pulse_engine import (
     RegisterState,
     TRANSITIONS,
     _drive,
-    _rotation_block,
+    _pulse_entries,
     apply_cn_between_ions,
     apply_pulse,
     cn_gate_single_pulse,
@@ -61,8 +61,15 @@ from ionsim.quantum_core import (
 
 
 def unitary_defect(U):
-    d = U.shape[0]
-    return float(np.max(np.abs(U.conj().T @ U - np.eye(d))))
+    """Largest entry of U+ U - 1, over a stack of matrices too."""
+    return float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1]))))
+
+
+def pair_blocks(p, n_max):
+    """Each coupled pair's 2x2 propagator, in (upper, lower) order, built
+    from the closed-form entries: shape batch + (pairs, 2, 2)."""
+    _, _, c, b_ul, b_lu = _pulse_entries(p, n_max)
+    return np.stack([np.stack([c, b_ul], -1), np.stack([b_lu, c], -1)], -2)
 
 
 def random_state(rng, n_max, top_empty=0):
@@ -77,25 +84,27 @@ def random_state(rng, n_max, top_empty=0):
 
 
 # ------------------------------------------------------ two-level rotation
-# _rotation_block(Omega, t, phi, dn) at t = theta / (2 Omega) carries
-# the pulse area theta on a pair with matrix element Omega
+# a pulse of area theta runs for t = theta / (2 |Omega_ref|), so its
+# reference pair (pair 0 by default) turns through |Omega_ref| t = theta/2
 
 
 def test_rotation_pi_is_not_gate():
-    U = _rotation_block(1.0, math.pi / 2.0, 0.0, 0)
+    U = pair_blocks(PulseSpec("carrier", math.pi, CouplingParams(1.0, 0.0)), n_max=1)[0]
     # |lo> -> -i|up>, |up> -> -i|lo>
     assert np.allclose(U, np.array([[0, -1j], [-1j, 0]]), atol=1e-15)
 
 
 def test_rotation_zero_area_identity():
-    assert np.array_equal(_rotation_block(1.0, 0.0, 0.0, 0), np.eye(2))
-    assert np.array_equal(_rotation_block(3.0, 0.0, 1.0, 0), np.eye(2))
+    assert np.all(pair_blocks(PulseSpec("carrier", 0.0, CouplingParams(1.0, 0.0)), 1) == np.eye(2))
+    for tr in TRANSITIONS:
+        blocks = pair_blocks(PulseSpec(tr, 0.0, CouplingParams(3.0, 0.1), phi=1.0), 4)
+        assert np.all(blocks == np.eye(2))
 
 
 def test_rotation_resonant_form():
     theta, phi = 1.3, 0.4
-    for dn in (0, 1, 2):
-        U = _rotation_block(2.0, theta / 4.0, phi, dn)
+    for tr, dn in (("carrier", 0), ("blue", 1), ("red", 1)):
+        U = pair_blocks(PulseSpec(tr, theta, CouplingParams(2.0, 0.1), phi=phi), n_max=3)[0]
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         ph = phi + 0.5 * math.pi * dn
         expected = np.array(
@@ -127,25 +136,30 @@ def _ode_propagator(Omega, phi, dn, t_end):
 
 def test_rotation_matches_ode_detuned():
     # on resonance, carrier and sideband phase index, and a matrix element
-    # of either sign (a Laguerre factor can turn it negative)
-    for Omega, dn, theta, phi in [(1.7, 0, 2.2, 0.0), (1.7, 1, 1.1, 0.6),
-                                  (-0.9, 0, 3.9, -1.2), (-0.9, 1, 5.0, 2.5)]:
-        t_end = theta / (2 * abs(Omega))
-        U = _rotation_block(Omega, t_end, phi, dn)
-        V = _ode_propagator(Omega, phi, dn, t_end)
-        assert np.max(np.abs(U - V)) < 1e-9
+    # of either sign: L_1(1.44) and L_1^1(2.56) turn pair 1 negative
+    for tr, c, theta, phi, negative in [
+            ("carrier", CouplingParams(1.7, 0.0), 2.2, 0.0, False),
+            ("blue", CouplingParams(1.7, 0.3), 1.1, 0.6, False),
+            ("carrier", CouplingParams(0.9, 1.2), 3.9, -1.2, True),
+            ("red", CouplingParams(0.9, 1.6), 5.0, 2.5, True)]:
+        dn = 0 if tr == "carrier" else 1
+        Omegas = [rabi_frequency(n + dn, n, c) for n in (0, 1)]
+        assert (Omegas[1] < 0) == negative
+        t_end = theta / (2 * abs(Omegas[0]))
+        U = pair_blocks(PulseSpec(tr, theta, c, phi=phi), n_max=2)
+        for n, Omega in enumerate(Omegas):
+            V = _ode_propagator(Omega, phi, dn, t_end)
+            assert np.max(np.abs(U[n] - V)) < 1e-9
         assert unitary_defect(U) < 1e-12
 
 
 def test_rotation_unitary_property():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        theta = rng.uniform(0, 4 * math.pi)
-        phi = rng.uniform(-math.pi, math.pi)
-        Omega = rng.uniform(0.1, 5.0)
-        dn = rng.integers(0, 2)
-        U = _rotation_block(Omega, theta / (2 * Omega), phi, int(dn))
-        assert unitary_defect(U) < 1e-12
+        p = PulseSpec(TRANSITIONS[rng.integers(0, 3)], rng.uniform(0, 4 * math.pi),
+                      CouplingParams(rng.uniform(0.1, 5.0), rng.uniform(0.01, 1.0)),
+                      phi=rng.uniform(-math.pi, math.pi))
+        assert unitary_defect(pair_blocks(p, int(rng.integers(1, 7)))) < 1e-12
 
 
 # ------------------------------------------------------------- pulse specs
@@ -166,6 +180,29 @@ def test_pulse_spec_validation():
     # good ones construct
     PulseSpec("blue", 1.0, c, reference_pair=(2, 1))
     PulseSpec("red", 1.0, c, reference_pair=(0, 1))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.array([0.1, math.nan])])
+@pytest.mark.parametrize("field", ["theta", "phi", "zeta", "phi_err"])
+def test_pulse_spec_rejects_non_finite_inputs(field, value):
+    with pytest.raises(RangeError, match=f"pulse {field} must be finite"):
+        PulseSpec("carrier", **{"theta": 1.0, field: value},
+                  coupling=CouplingParams(1.0, 0.1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("transition, coupling, theta", [
+    ("carrier", CouplingParams(1e-10, 0.0), 1e308),   # the duration overflows
+    ("blue", CouplingParams(1e-10, 0.1), 1e308),
+    ("carrier", CouplingParams(math.nan, 0.1), 1.0),  # nan < 0 passes its check
+    ("red", CouplingParams(math.inf, 0.1), 1.0),       # |Omega| t = inf * 0
+])
+def test_pulse_with_non_finite_entries_is_refused(transition, coupling, theta):
+    p = PulseSpec(transition, theta, coupling)
+    with pytest.raises(ModelInputError, match="not unitary"):
+        apply_pulse(make_state("fock", n_max=3), p)
+    with pytest.raises(ModelInputError, match="not unitary"):
+        pulse_unitary(p, n_max=3)
 
 
 # ------------------------------------------------------------- apply_pulse

@@ -204,6 +204,23 @@ def test_one_non_unitary_block_in_a_stack_is_refused(bad):
         require_unitary(U)
 
 
+def _with_nan(U, *index):
+    U = U.astype(complex)
+    U[index] = np.nan
+    return U
+
+
+@pytest.mark.parametrize("U", [
+    np.full((4, 4), np.nan),
+    _with_nan(random_unitary(4, seed=3), 2, 1),
+    _with_nan(random_blocks((300, 9), seed=7), 123, 4, 1, 0),
+    np.array([[np.nan]]),
+])
+def test_non_finite_matrix_is_not_unitary(U):
+    with pytest.raises(ModelInputError, match="not unitary"):
+        require_unitary(U)
+
+
 # ---------------------------------------------------------------------------
 # overlaps and populations
 
