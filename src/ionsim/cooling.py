@@ -24,13 +24,7 @@ import numpy as np
 from scipy import constants as _const
 
 from .coupling import CouplingParams, ladder, rabi_frequency
-from .errors import (
-    ModelInputError,
-    RangeError,
-    RegimeError,
-    RegimeWarning,
-    TruncationWarning,
-)
+from .errors import ModelInputError, RangeError, RegimeWarning, TruncationWarning
 from .quantum_core import DensityMatrix
 
 _STRATEGIES = ("fixed", "randomized", "schedule")
@@ -124,12 +118,12 @@ def cooling_limit(gamma_rad: float, omega_z: float) -> float:
     """Closed-form sideband-cooling floor (gamma/(2*omega_z))^2.
 
     Valid only in the resolved-sideband regime gamma_rad < omega_z;
-    RegimeError otherwise.
+    RangeError otherwise.
     """
     if gamma_rad < 0 or omega_z <= 0:
         raise RangeError("gamma_rad must be >= 0 and omega_z > 0")
     if gamma_rad >= omega_z:
-        raise RegimeError(
+        raise RangeError(
             f"gamma_rad = {gamma_rad:.3e} not below omega_z = {omega_z:.3e}: "
             "sidebands unresolved, the closed-form limit does not apply"
         )
@@ -208,7 +202,7 @@ def sideband_cool(initial: DensityMatrix, cfg: CoolingConfig, seed=None) -> Cool
 
     h = cfg.recoil_ratio
     if h >= 1.0:
-        raise RegimeError("omega_R/omega_z >= 1: recoil dominates, model invalid")
+        raise RangeError("omega_R/omega_z >= 1: recoil dominates, model invalid")
     kick = _kick_weights(cfg.scatters_per_cycle, h, n_max + 1)
 
     rng = np.random.default_rng(seed)

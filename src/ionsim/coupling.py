@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, gammaln, i0
 
-from .errors import (
-    ModelInputError,
-    NoRootError,
-    RangeError,
-    SingularSystemError,
-)
+from .errors import ModelInputError, RangeError
 
 
 @dataclass(frozen=True)
@@ -31,6 +26,9 @@ class CouplingParams:
     eta: float
 
     def __post_init__(self):
+        for name in ("Omega", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"CouplingParams.{name} must be finite")
         if self.Omega < 0 or self.eta < 0:
             raise RangeError("Omega and eta must be non-negative")
 
@@ -51,6 +49,9 @@ class ModeEnsemble:
         n = np.asarray(self.nbars, dtype=float)
         if e.shape != n.shape or e.ndim != 1:
             raise ModelInputError("etas and nbars must be 1-d arrays of equal length")
+        for name, v in (("etas", e), ("nbars", n)):
+            if not np.all(np.isfinite(v)):
+                raise RangeError(f"ModeEnsemble.{name} must be finite")
         if np.any(e < 0) or np.any(n < 0):
             raise RangeError("mode parameters must be non-negative")
         object.__setattr__(self, "etas", e)
@@ -125,7 +126,7 @@ def magic_eta(level_n: int, k: int, m: int) -> list[float]:
     Returns the sorted real roots; each is checked to reproduce the
     target ratio through rabi_frequency to 1e-12.
 
-    Raises NoRootError when the polynomial never meets r inside (0,1).
+    Raises RangeError when the polynomial never meets r inside (0,1).
     """
     if level_n not in (1, 2, 3):
         raise RangeError("level_n must be 1, 2 or 3")
@@ -136,14 +137,14 @@ def magic_eta(level_n: int, k: int, m: int) -> list[float]:
     xs = (np.polynomial.Laguerre.basis(level_n) - r).roots()
     roots = sorted(math.sqrt(x) for x in xs[np.isreal(xs)].real if 0.0 < x < 1.0)
     if not roots:
-        raise NoRootError(
+        raise RangeError(
             f"L_{level_n}(eta^2) never reaches {r:.6g} for eta in (0,1)"
         )
     for eta in roots:
         c = CouplingParams(Omega=1.0, eta=eta)
         ratio = rabi_frequency(level_n, level_n, c) / rabi_frequency(0, 0, c)
         if abs(ratio - r) > 1e-12:
-            raise NoRootError(f"root eta={eta} fails the ratio check ({ratio} vs {r})")
+            raise RangeError(f"root eta={eta} fails the ratio check ({ratio} vs {r})")
     return roots
 
 
@@ -225,7 +226,7 @@ def standing_wave_coefficients(k_list, parity: str) -> StandingWaveDesign:
     parity="cosine" field sum C_m cos(k_m z): even powers z^2, ...,
                     z^(2M-2) cancelled, constant normalized (sum C_m = 1).
 
-    Raises SingularSystemError for degenerate wavenumber sets.
+    Raises RangeError for degenerate wavenumber sets.
     """
     k = np.asarray(k_list, dtype=float)
     if k.ndim != 1 or len(k) < 1:
@@ -250,7 +251,7 @@ def standing_wave_coefficients(k_list, parity: str) -> StandingWaveDesign:
     b = np.zeros(M)
     b[0] = 1.0
     if np.linalg.cond(A) > 1e12:
-        raise SingularSystemError(
+        raise RangeError(
             "wavenumber set is degenerate (condition number above 1e12)"
         )
     C = np.linalg.solve(A, b)
@@ -340,7 +341,7 @@ def stark_addressing_epsilon(theta: float, m: int) -> dict:
     relative phase xi = theta (1-epsilon)/sqrt(epsilon) on the neighbor,
     equal to theta*sqrt((2 m pi/theta)^2 - 1).
 
-    Raises NoRootError when the quadratic has no root strictly inside
+    Raises RangeError when the quadratic has no root strictly inside
     (0,1) (the degenerate theta = 2 pi m case).
     """
     if not 0.0 < theta <= 2.0 * math.pi:
@@ -350,7 +351,7 @@ def stark_addressing_epsilon(theta: float, m: int) -> dict:
     b = 1.0 + (2.0 * m * math.pi / theta) ** 2
     disc = b * b - 4.0
     if disc <= 0.0:
-        raise NoRootError("no epsilon root strictly inside (0,1)")
+        raise RangeError("no epsilon root strictly inside (0,1)")
     # rationalized root, stable when b is large (small theta)
     eps = 2.0 / (b + math.sqrt(disc))
     xi = theta * (1.0 - eps) / math.sqrt(eps)

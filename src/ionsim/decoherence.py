@@ -27,13 +27,7 @@ from scipy.special import j0, jv
 from scipy.optimize import nnls
 from scipy import constants as _const
 
-from .errors import (
-    DimensionError,
-    IllConditionedError,
-    ModelInputError,
-    RangeError,
-    TruncationError,
-)
+from .errors import DimensionError, ModelInputError, RangeError, TruncationError
 from .quantum_core import DEFAULT_EPS_TRUNC, DensityMatrix, QuantumState
 from .coupling import CouplingParams, ladder
 from .pulse_engine import PulseSpec, apply_pulse
@@ -268,7 +262,7 @@ def invert_populations(
     must sample the fastest component at Nyquist rate or better, and
     adjacent ladder frequencies must be separated by at least
     2*pi / (observation span) or the basis is declared unresolvable
-    (IllConditionedError). If the raw solution overshoots unit total
+    (RangeError). If the raw solution overshoots unit total
     population it is rescaled onto the simplex boundary.
 
     Returns {"P": the n_cut + 1 estimated populations, "residual": the
@@ -290,7 +284,7 @@ def invert_populations(
     if n_cut >= 1:
         min_gap = float(np.min(np.abs(np.diff(freqs))))
         if min_gap < 2.0 * math.pi / span:
-            raise IllConditionedError(
+            raise RangeError(
                 f"adjacent ladder frequencies separated by {min_gap:.3e} "
                 f"< 2*pi/span = {2.0 * math.pi / span:.3e}"
             )
@@ -437,25 +431,24 @@ def spectator_leakage(
     envelope: str = "square",
     duration: float = 1.0,
     tau_r: float | None = None,
-    compensate: bool = False,
-    initial=None,
 ) -> dict:
     """Residual excitation of an off-resonant third level after a pulse.
 
     The drive couples the qubit pair at strength Omega and also reaches
-    a spectator level detuned by Delta at strength Omega_prime. With
-    amplitudes (C_dn, C_up, C_s) and laser offset delta from the qubit
-    resonance, the rotating-frame equations
+    a spectator level detuned by Delta at strength Omega_prime. The ion
+    starts in the lower qubit level and the drive sits on the bare qubit
+    resonance, so the amplitudes (C_dn, C_up, C_s) = (1, 0, 0) at t = 0
+    follow the rotating-frame equations
 
-        dC_dn/dt = -i g(t) [Omega e^(+i delta t) C_up + Omega' e^(+i (delta-Delta) t) C_s]
-        dC_up/dt = -i g(t) Omega  e^(-i delta t) C_dn
-        dC_s/dt  = -i g(t) Omega' e^(-i (delta-Delta) t) C_dn
+        dC_dn/dt = -i g(t) [Omega C_up + Omega' e^(-i Delta t) C_s]
+        dC_up/dt = -i g(t) Omega  C_dn
+        dC_s/dt  = -i g(t) Omega' e^(+i Delta t) C_dn
 
-    are integrated by fixed-step RK4 under the chosen envelope g(t):
+    integrated by fixed-step RK4 under the chosen envelope g(t):
     "square" switches instantly, "smooth" ramps with a raised cosine of
     width tau_r at both ends (duration must cover both ramps). The
     spectator also pulls the lower qubit level down by Omega'^2/Delta;
-    compensate=True retunes the drive onto the shifted resonance.
+    that shift is reported as stark_shift, not compensated.
 
     Returns the final amplitude magnitudes |C_dn| and |C_s| (the full
     complex vector rides along under "amplitudes"), the
@@ -475,18 +468,9 @@ def spectator_leakage(
             raise ModelInputError("smooth envelope needs tau_r > 0")
         if duration < 2.0 * tau_r:
             raise ModelInputError("duration must cover both raised-cosine ramps")
-    c = np.array([1.0, 0.0, 0.0], dtype=complex) if initial is None else np.asarray(
-        initial, dtype=complex
-    )
-    if c.shape != (3,):
-        raise DimensionError("initial amplitudes must be a 3-vector")
-    if abs(np.linalg.norm(c) - 1.0) > 1e-9:
-        raise ModelInputError("initial amplitudes must be normalized")
 
-    stark = Omega_prime**2 / Delta
-    delta = stark if compensate else 0.0
     T = float(duration)
-    w_max = max(abs(Delta), abs(Delta - delta), 2 * abs(Omega), 2 * abs(Omega_prime), abs(delta))
+    w_max = max(abs(Delta), 2 * abs(Omega), 2 * abs(Omega_prime))
     steps = _STEPS_PER_CYCLE * T * w_max / (2.0 * math.pi)
     if steps > _MAX_STEPS:
         raise RangeError(f"the pulse needs {steps:.4g} RK4 steps, more than {_MAX_STEPS:.0e}")
@@ -502,17 +486,16 @@ def spectator_leakage(
 
     def rhs(t: float, v: np.ndarray) -> np.ndarray:
         gt = g(t)
-        e_up = np.exp(1j * delta * t)
-        e_s = np.exp(1j * (delta - Delta) * t)
+        e_s = np.exp(-1j * Delta * t)
         return np.array(
             [
-                -1j * gt * (Omega * e_up * v[1] + Omega_prime * e_s * v[2]),
-                -1j * gt * Omega * v[0] / e_up,
+                -1j * gt * (Omega * v[1] + Omega_prime * e_s * v[2]),
+                -1j * gt * Omega * v[0],
                 -1j * gt * Omega_prime * v[0] / e_s,
             ]
         )
 
-    v = c.copy()
+    v = np.array([1.0, 0.0, 0.0], dtype=complex)
     t = 0.0
     for _ in range(n_steps):
         k1 = rhs(t, v)
@@ -526,7 +509,7 @@ def spectator_leakage(
         "C_final": float(abs(v[0])),
         "C_s_final": float(abs(v[2])),
         "adiabatic_estimate": float(abs(Omega_prime * v[0] / Delta)),
-        "stark_shift": stark,
+        "stark_shift": Omega_prime**2 / Delta,
         "norm_defect": abs(float(np.linalg.norm(v)) - 1.0),
         "amplitudes": v,
     }

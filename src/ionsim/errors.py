@@ -2,24 +2,22 @@
 
 Every error raised deliberately by library code derives from IonsimError,
 so callers (and the command-line runner) can separate physics/model errors
-from programming errors. Two warning types exist: TruncationWarning signals
-that a truncated oscillator basis is leaking probability, and RegimeWarning
-flags inputs that stretch a model assumption without invalidating the run
-outright. A warnings filter set to "error" (as `ionsim run --strict`
-installs) raises either warning itself.
+from programming errors. A class exists only where a caller tells it
+apart: `ionsim run` exits 2 on ConfigError and 3 on any other IonsimError.
+RangeError covers every input outside a model's validity range, including
+the failures the physics names (an unstable trap, unresolved sidebands, a
+chain that will not settle, a root that does not exist, a degenerate or
+ill-conditioned system); its message says which. Two warning types exist:
+TruncationWarning signals that a truncated oscillator basis is leaking
+probability, and RegimeWarning flags inputs that stretch a model
+assumption without invalidating the run outright. A warnings filter set
+to "error" (as `ionsim run --strict` installs) raises either warning
+itself.
 """
 
 
 class IonsimError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InstabilityError(IonsimError):
-    """Trap parameters lie outside the stable (perturbative) regime."""
-
-
-class ConvergenceError(IonsimError):
-    """An iterative solver failed to reach its residual target."""
 
 
 class RangeError(IonsimError):
@@ -40,22 +38,6 @@ class TruncationError(IonsimError):
 
 class TruncationWarning(UserWarning):
     """Non-fatal version of TruncationError (default behaviour)."""
-
-
-class NoRootError(IonsimError):
-    """A requested root does not exist in the search interval."""
-
-
-class SingularSystemError(IonsimError):
-    """A linear system required by the model is singular or near-singular."""
-
-
-class IllConditionedError(IonsimError):
-    """A least-squares inversion is too ill-conditioned to be meaningful."""
-
-
-class RegimeError(IonsimError):
-    """Inputs violate the regime assumption of a closed-form limit."""
 
 
 class RegimeWarning(UserWarning):

@@ -510,7 +510,8 @@ def noisy_sequence_fidelity(
 
     A result holds F_mean, F_std and a quadratic_fit dict whose
     coefficient is (1 - F_mean) divided by m*zeta_rms^2 (random model) or
-    by the squared total systematic area error (systematic model).
+    by the squared total systematic area error (systematic model), its
+    trial mean when the specs carry one zeta per trial.
     """
     seq = list(seq)
     if not seq:
@@ -553,7 +554,7 @@ def noisy_sequence_fidelity(
         F_mean = float(np.mean(fids))
         if systematic or zeta_rms == 0.0:
             S = zeta_sum + (m * zeta_rms if systematic else 0.0)
-            denom, against = S * S, "(sum_zeta)^2"
+            denom, against = float(np.mean(S * S)), "(sum_zeta)^2"
         else:
             denom, against = m * zeta_rms**2, "M*zeta_rms^2"
         found[m] = {

@@ -126,12 +126,12 @@ class DensityMatrix:
         return DensityMatrix(self.rho.copy(), self.n_max, validate=False)
 
 
-def make_state(kind: str, n_max: int, spin=SPIN_DOWN, n: int = 0,
-               nbar: float | None = None):
+def make_state(kind: str, n_max: int, nbar: float | None = None):
     """Construct a standard initial state.
 
     kind = "fock"
-        QuantumState |spin, n>. Requires n <= n_max.
+        QuantumState |down, 0>: the lower spin level and the motional
+        ground state.
     kind = "thermal"
         Diagonal DensityMatrix with populations proportional to
         nbar^n/(1+nbar)^(n+1), renormalized over the kept levels. The
@@ -144,7 +144,7 @@ def make_state(kind: str, n_max: int, spin=SPIN_DOWN, n: int = 0,
 
     if kind == "fock":
         amps = np.zeros(2 * N, dtype=complex)
-        amps[index_of(spin, n, n_max)] = 1.0
+        amps[0] = 1.0
         return QuantumState(amps, n_max)
 
     if kind == "thermal":

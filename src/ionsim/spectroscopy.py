@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import CouplingParams
 from .errors import ModelInputError, RangeError
 from .pulse_engine import PulseSpec, apply_pulse
-from .quantum_core import QuantumState, apply_unitary
+from .quantum_core import QuantumState, make_state
 
 
 def ramsey_probability(
@@ -41,19 +41,19 @@ def ramsey_probability(
     """
     if T_R < 0:
         raise RangeError("T_R must be >= 0")
+    if not math.isfinite(omega_offset * T_R):
+        raise RangeError("the free-precession phase omega_offset*T_R must be finite")
     if len(phases) != 2:
         raise ModelInputError("phases must hold exactly two pulse phases")
     c = coupling if coupling is not None else CouplingParams(Omega=1.0, eta=0.05)
     # a little motional headroom keeps the edge-population guard quiet
     n_max = 2
-    amps = np.zeros(2 * (n_max + 1), complex)
-    amps[0] = 1.0
-    state = QuantumState(amps, n_max=n_max)
-    state = apply_pulse(state, PulseSpec("carrier", 0.5 * math.pi, c, phi=phases[0]))
-    up_phase = np.exp(-1j * omega_offset * T_R)
-    free = np.diag([1.0] * (n_max + 1) + [up_phase] * (n_max + 1))
-    state = apply_unitary(state, free)
-    state = apply_pulse(state, PulseSpec("carrier", 0.5 * math.pi, c, phi=phases[1]))
+    state = apply_pulse(make_state("fock", n_max),
+                        PulseSpec("carrier", 0.5 * math.pi, c, phi=phases[0]))
+    amps = state.amplitudes.copy()
+    amps[n_max + 1:] *= np.exp(-1j * omega_offset * T_R)  # free precession of |up>
+    state = apply_pulse(QuantumState(amps, n_max),
+                        PulseSpec("carrier", 0.5 * math.pi, c, phi=phases[1]))
     return float(np.sum(np.abs(state.amplitudes[: n_max + 1]) ** 2))
 
 

@@ -24,11 +24,7 @@ import numpy as np
 from scipy.constants import epsilon_0, hbar, k as k_B
 from scipy.special import j0, zeta
 
-from .errors import (
-    ConvergenceError,
-    InstabilityError,
-    RangeError,
-)
+from .errors import ModelInputError, RangeError
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +167,12 @@ def mathieu_beta(a: float, q: float) -> float:
     denom = 1.0 - 3.0 * q * q / 8.0
     num = a + q * q / 2.0
     if num < 0 or denom <= 0:
-        raise InstabilityError(
+        raise RangeError(
             f"no real secular frequency for a={a:.3g}, q={q:.3g}"
         )
     beta = math.sqrt(num / denom)
     if beta >= 1.0:
-        raise InstabilityError(f"beta={beta:.3f} >= 1: outside lowest stability region")
+        raise RangeError(f"beta={beta:.3f} >= 1: outside lowest stability region")
     return beta
 
 
@@ -199,13 +195,13 @@ def secular_frequencies(p: TrapParams) -> MathieuCoeffs:
 
     Raises
     ------
-    InstabilityError
+    RangeError
         If the perturbative stability gate fails (q_x >= 0.5 or
         |a_x| >= q_x^2), or if either radial exponent is not real.
     """
     a_x, a_y, q_x = _stability_params(p)
     if not (q_x < 0.5 and abs(a_x) < q_x * q_x):
-        raise InstabilityError(
+        raise RangeError(
             f"stability gate failed: q_x={q_x:.4g}, a_x={a_x:.4g} "
             "(need q_x < 0.5 and |a_x| < q_x^2)"
         )
@@ -285,7 +281,7 @@ def _solve_chain(L: int) -> np.ndarray:
     only if it lowers the largest force: hybr alone stops short of the
     residual check at some lengths (L = 344).
 
-    Raises ConvergenceError if the ions end out of order or the largest
+    Raises RangeError if the ions end out of order or the largest
     force stays above 1e-12 * max(1, max|u|).
     """
     if L == 1:
@@ -304,9 +300,9 @@ def _solve_chain(L: int) -> np.ndarray:
             break
         u, force = u_new, f_new
     if not np.all(np.diff(u) > 0):
-        raise ConvergenceError("chain solve left the ions out of order")
+        raise RangeError("chain solve left the ions out of order")
     if not force <= 1e-12 * max(1.0, float(np.max(np.abs(u)))):
-        raise ConvergenceError(f"chain equilibrium residual {force:.2e}")
+        raise RangeError(f"chain equilibrium residual {force:.2e}")
     return u - u.mean()
 
 
@@ -329,7 +325,7 @@ def chain_equilibrium(
 
     Raises
     ------
-    ConvergenceError
+    RangeError
         If the ions end out of order or the scaled force residual stays
         above 1e-12.
     """
@@ -347,13 +343,14 @@ def axial_normal_modes(g: ChainGeometry, omega_z: float) -> AxialModes:
 
     Diagonalizes the dimensionless axial Hessian; frequencies are
     omega_z * sqrt(eigenvalue), ascending, and the lowest is exactly
-    omega_z (uniform center-of-mass motion).
+    omega_z (uniform center-of-mass motion). Raises ModelInputError when
+    the given positions are not an equilibrium.
     """
     u = np.asarray(g.positions, dtype=float) / g.scale_s
     if g.L > 1:
         resid = float(np.max(np.abs(_chain_gradient(u))))
         if resid > 1e-10:
-            raise ConvergenceError(f"positions are not an equilibrium (residual {resid:.2e})")
+            raise ModelInputError(f"positions are not an equilibrium (residual {resid:.2e})")
         H = _chain_hessian(u)
     else:
         H = np.ones((1, 1))

@@ -470,6 +470,21 @@ def test_spectator_over_step_cap_exits_3(tmp_path, capsys):
     assert "6e+06 RK4 steps" in err
 
 
+@pytest.mark.parametrize("scenario,key,value,cause", [
+    ("trap.stability_be", "V0", "400 V", "stability"),          # q_x near 0.54
+    ("cool.sideband", "omega_R", "10 MHz", "recoil dominates"),  # omega_R = omega_z
+], ids=["trap.stability_be", "cool.sideband"])
+def test_model_failure_exits_3_naming_its_cause(scenario, key, value, cause, tmp_path,
+                                                capsys):
+    body = _bundled(scenario)
+    body["params"][key] = value
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("physics error: RangeError:")
+    assert cause in err
+
+
 def _bounded_fields(schema, prefix=""):
     """(dotted path, field) for every int or int_list field with a bound."""
     for key, f in schema.items():

@@ -28,7 +28,6 @@ from ionsim.coupling import CouplingParams, rabi_frequency
 from ionsim.errors import (
     ModelInputError,
     RangeError,
-    RegimeError,
     RegimeWarning,
     TruncationWarning,
 )
@@ -118,7 +117,7 @@ def test_initial_state_must_be_diagonal():
 
 def test_recoil_dominated_bath_rejected():
     cfg = _std_cfg(omega_R=2 * math.pi * 10e6)       # ratio 1: model invalid
-    with pytest.raises(RegimeError):
+    with pytest.raises(RangeError, match="recoil dominates"):
         sideband_cool(_fock_diag(1, 5), cfg)
 
 
@@ -140,9 +139,9 @@ def test_recoil_frequency_beryllium():
 def test_cooling_limit_value_and_regime():
     got = cooling_limit(2 * math.pi * 20e3, 2 * math.pi * 10e6)
     assert got == pytest.approx(1e-6, rel=1e-12)
-    with pytest.raises(RegimeError):
+    with pytest.raises(RangeError, match="sidebands unresolved"):
         cooling_limit(1.0, 1.0)                      # boundary included
-    with pytest.raises(RegimeError):
+    with pytest.raises(RangeError, match="sidebands unresolved"):
         cooling_limit(2.0, 1.0)
     with pytest.raises(RangeError):
         cooling_limit(-1.0, 1.0)

@@ -48,7 +48,6 @@ from ionsim.decoherence import (
 )
 from ionsim.errors import (
     DimensionError,
-    IllConditionedError,
     ModelInputError,
     RangeError,
     TruncationError,
@@ -399,7 +398,7 @@ def test_inversion_sampling_guards():
     # span too short to split neighboring ladder lines
     tau2 = np.linspace(0.0, 160.0, 2000)
     sig2 = rabi_decay_signal(np.array([1.0]), 0.005, c, tau2)
-    with pytest.raises(IllConditionedError):
+    with pytest.raises(RangeError, match="adjacent ladder frequencies separated by"):
         invert_populations(sig2, c, n_cut=5, gamma_model=0.005)
     with pytest.raises(RangeError):
         invert_populations(sig, c, n_cut=-1, gamma_model=0.005)
@@ -665,17 +664,6 @@ def test_spectator_smooth_pulse_suppression():
     assert out["norm_defect"] <= 1e-8
 
 
-def test_spectator_compensation_improves_transfer():
-    # a pi/2-length flop with the shift compensated beats the bare one
-    T = math.pi / 2.0
-    bare = spectator_leakage(Omega=1.0, Omega_prime=1.0, Delta=20.0, duration=T)
-    comp = spectator_leakage(Omega=1.0, Omega_prime=1.0, Delta=20.0, duration=T,
-                             compensate=True)
-    p_bare = 1.0 - bare["C_final"] ** 2 - bare["C_s_final"] ** 2
-    p_comp = 1.0 - comp["C_final"] ** 2 - comp["C_s_final"] ** 2
-    assert p_comp > p_bare
-
-
 def test_spectator_validation():
     with pytest.raises(ModelInputError):
         spectator_leakage(1.0, 1.0, Delta=0.0)
@@ -688,11 +676,6 @@ def test_spectator_validation():
     with pytest.raises(ModelInputError):
         spectator_leakage(1.0, 1.0, Delta=10.0, envelope="smooth",
                           duration=1.0, tau_r=0.8)                   # ramps overlap
-    with pytest.raises(DimensionError):
-        spectator_leakage(1.0, 1.0, Delta=10.0, initial=np.array([1.0, 0.0]))
-    with pytest.raises(ModelInputError):
-        spectator_leakage(1.0, 1.0, Delta=10.0,
-                          initial=np.array([2.0, 0.0, 0.0], complex))
 
 
 # ---------------------------------------------------------------- drive-frequency modulation

@@ -94,51 +94,40 @@ signs = st.sampled_from((1.0, -1.0))
 durations = st.floats(0.5, 3.0)
 
 
-def _initial(seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    return v / np.linalg.norm(v)
-
-
-def _lab_reference(Om, Omp, De, delta, T, g, c0):
-    """Integrate the rotating-frame equations exactly as written."""
+def _lab_reference(Om, Omp, De, T, g):
+    """Integrate the rotating-frame equations exactly as written, from
+    the lower qubit level."""
 
     def rhs(t, y):
         cd, cu, cs = y
         gt = g(t)
-        return [-1j * gt * (Om * np.exp(1j * delta * t) * cu
-                            + Omp * np.exp(1j * (delta - De) * t) * cs),
-                -1j * gt * Om * np.exp(-1j * delta * t) * cd,
-                -1j * gt * Omp * np.exp(-1j * (delta - De) * t) * cd]
+        return [-1j * gt * (Om * cu + Omp * np.exp(-1j * De * t) * cs),
+                -1j * gt * Om * cd,
+                -1j * gt * Omp * np.exp(1j * De * t) * cd]
 
-    sol = solve_ivp(rhs, (0.0, T), np.asarray(c0, complex), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, T), np.array([1.0, 0.0, 0.0], complex), method="DOP853",
                     rtol=1e-12, atol=1e-13)
     return sol.y[:, -1]
 
 
 @settings(max_examples=15, deadline=None)
-@given(drives, drives, detunings, signs, durations, st.floats(0.1, 0.5),
-       st.booleans(), st.booleans(), seeds)
-def test_spectator_amplitudes_against_lab_frame(Om, Omp, De, sign, T, frac, smooth,
-                                                 comp, seed):
+@given(drives, drives, detunings, signs, durations, st.floats(0.1, 0.5), st.booleans())
+def test_spectator_amplitudes_against_lab_frame(Om, Omp, De, sign, T, frac, smooth):
     De *= sign
-    c0 = _initial(seed)
     tau_r = frac * T
     if smooth:
-        out = spectator_leakage(Om, Omp, De, envelope="smooth", duration=T,
-                                tau_r=tau_r, compensate=comp, initial=c0)
+        out = spectator_leakage(Om, Omp, De, envelope="smooth", duration=T, tau_r=tau_r)
 
         def g(t):
             edge = min(t, T - t)
             return 0.5 * (1.0 - math.cos(math.pi * edge / tau_r)) if edge < tau_r else 1.0
     else:
-        out = spectator_leakage(Om, Omp, De, duration=T, compensate=comp, initial=c0)
+        out = spectator_leakage(Om, Omp, De, duration=T)
 
         def g(_t):
             return 1.0
 
-    delta = Omp**2 / De if comp else 0.0
-    ref = _lab_reference(Om, Omp, De, delta, T, g, c0)
+    ref = _lab_reference(Om, Omp, De, T, g)
     # fixed-step RK4 with at least 400 steps: errors up to about 4e-8 here
     assert np.abs(out["amplitudes"] - ref).max() <= 1e-7
     assert out["C_final"] == abs(out["amplitudes"][0])

@@ -27,6 +27,13 @@ from ionsim.quantum_core import (
 )
 
 
+def fock(n_max, n):
+    """The basis state |down, n>."""
+    amps = np.zeros(2 * (n_max + 1), dtype=complex)
+    amps[index_of(SPIN_DOWN, n, n_max)] = 1.0
+    return QuantumState(amps, n_max)
+
+
 def random_unitary(dim, seed):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -117,7 +124,7 @@ def test_identity_leaves_state_unchanged():
 
 
 def test_random_unitary_preserves_norm_and_populations_sum():
-    st = make_state("fock", n_max=8, n=2)
+    st = fock(8, 2)
     # keep the action away from the truncation edge
     U = np.eye(st.dim, dtype=complex)
     blk = random_unitary(6, seed=3)

@@ -61,6 +61,9 @@ def test_fringe_matches_closed_form_random_phases():
 def test_fringe_validation():
     with pytest.raises(RangeError):
         ramsey_probability(0.0, -1.0)
+    for offset in (math.inf, math.nan):
+        with pytest.raises(RangeError, match="phase omega_offset\\*T_R must be finite"):
+            ramsey_probability(offset, 1.0)
     with pytest.raises(ModelInputError):
         ramsey_probability(0.0, 1.0, phases=(0.0, 1.0, 2.0))
 

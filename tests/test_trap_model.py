@@ -15,11 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import epsilon_0, hbar, k as k_B
 from scipy.integrate import solve_ivp
 
-from ionsim.errors import (
-    ConvergenceError,
-    InstabilityError,
-    RangeError,
-)
+from ionsim.errors import ModelInputError, RangeError
 from ionsim.trap_model import (
     TrapParams,
     axial_normal_modes,
@@ -91,9 +87,9 @@ def test_beta_simple_point_against_floquet():
 
 
 def test_beta_raises_outside_stable_region():
-    with pytest.raises(InstabilityError):
+    with pytest.raises(RangeError, match="no real secular frequency"):
         mathieu_beta(-0.1, 0.1)  # a + q^2/2 < 0
-    with pytest.raises(InstabilityError):
+    with pytest.raises(RangeError, match="outside lowest stability region"):
         mathieu_beta(0.9, 0.9)  # beta >= 1
 
 
@@ -136,10 +132,10 @@ def test_zero_endcap_gives_pure_radial_confinement():
 
 
 def test_unstable_params_raise():
-    with pytest.raises(InstabilityError):
+    with pytest.raises(RangeError, match="stability gate failed"):
         secular_frequencies(make_params(q_x=0.6))  # q gate
     # deep static well makes |a_x| exceed q_x^2
-    with pytest.raises(InstabilityError):
+    with pytest.raises(RangeError, match="stability gate failed"):
         secular_frequencies(make_params(q_x=0.05, nu_z=8e6))
 
 
@@ -243,7 +239,7 @@ def test_chain_solve_rejects_a_reordered_root(monkeypatch):
         return scipy.optimize.OptimizeResult(x=x0[::-1])
 
     monkeypatch.setattr(scipy.optimize, "root", reversed_guess)
-    with pytest.raises(ConvergenceError, match="out of order"):
+    with pytest.raises(RangeError, match="out of order"):
         _solve_chain(5)
 
 
@@ -307,7 +303,7 @@ def test_modes_reject_non_equilibrium_positions():
     bad = ChainGeometry(
         L=g.L, positions=g.positions * 1.5, scale_s=g.scale_s, s_min=g.s_min
     )
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ModelInputError, match="positions are not an equilibrium"):
         axial_normal_modes(bad, TWO_PI * 1e6)
 
 
