@@ -7,7 +7,8 @@ versions, and pass/fail against the file's declared expectations.
 ``ionsim list`` enumerates the bundled scenarios. Each kind's schema
 declares every key, unit and integer bound, and which choice of its op,
 type, strategy or mode reads a key; its handler only maps the validated
-params to library calls and the results to columns and metrics.
+params to library calls and the results to a table of named columns and
+metrics.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 physics-model error raised by the library or failed
@@ -100,12 +101,20 @@ _MAX_CHAIN = 450
 
 @dataclass
 class RunResult:
-    """One experiment's table, scalar metrics, and extra metadata lines."""
+    """One experiment's table, scalar metrics, and extra metadata lines.
 
-    columns: list                 # (name, unit) pairs
-    rows: list
+    The table maps each CSV header ("tau [s]", "P_down") to its column's
+    values, in column order: the library's arrays as returned, or lists.
+    """
+
+    table: dict
     metrics: dict
     meta: dict = dc_field(default_factory=dict)
+
+
+def _table(header, rows) -> dict:
+    """The table of records built row by row, one header per field."""
+    return {h: [r[i] for r in rows] for i, h in enumerate(header)}
 
 
 def _require(params: dict, keys, op: str) -> None:
@@ -196,13 +205,11 @@ def _run_trap(p: dict, seed: int) -> RunResult:
         tj = p["trajectory"]
         t = np.linspace(0.0, tj["t_end"], tj["points"])
         traj = mathieu_trajectory(tp, tj["amplitude"], tj["phase"], t)
-        cols = [("t", "s"), ("x", "m"), ("y", "m")]
-        rows = [tuple(map(float, r)) for r in zip(t, traj["x"], traj["y"])]
+        table = {"t [s]": t, "x [m]": traj["x"], "y [m]": traj["y"]}
     else:
-        cols = [("quantity", ""), ("value", ""), ("unit", "")]
-        rows = [(k, v, "Hz" if k.endswith("_Hz") else "")
-                for k, v in metrics.items()]
-    return RunResult(cols, rows, metrics)
+        table = {"quantity": list(metrics), "value": list(metrics.values()),
+                 "unit": ["Hz" if k.endswith("_Hz") else "" for k in metrics]}
+    return RunResult(table, metrics)
 
 
 _MODES_SCHEMA = {
@@ -214,15 +221,14 @@ _MODES_SCHEMA = {
 
 
 def _run_modes(p: dict, seed: int) -> RunResult:
-    cols = [("L", ""), ("mode", ""), ("ratio_to_axial", ""), ("frequency", "Hz")]
     rows, metrics = [], {}
     for L in p["L_values"]:
         g = chain_equilibrium(L, p["omega_z"], p["charge"], p["mass"])
         am = axial_normal_modes(g, p["omega_z"])
         for k, w in enumerate(am.frequencies, start=1):
-            ratio = float(w / p["omega_z"])
-            rows.append((L, k, ratio, float(w / TWO_PI)))
-            metrics[f"L{L}.ratio{k}"] = ratio
+            ratio = w / p["omega_z"]
+            rows.append((L, k, ratio, w / TWO_PI))
+            metrics[f"L{L}.ratio{k}"] = float(ratio)
         metrics[f"L{L}.scale_s_m"] = g.scale_s
         if L >= 2:
             gaps = np.diff(g.positions)
@@ -231,7 +237,8 @@ def _run_modes(p: dict, seed: int) -> RunResult:
                 gaps[(L - 1) // 2] / g.scale_s
             )
             metrics[f"L{L}.min_gap_over_fit"] = float(gaps.min() / g.s_min)
-    return RunResult(cols, rows, metrics)
+    header = ("L", "mode", "ratio_to_axial", "frequency [Hz]")
+    return RunResult(_table(header, rows), metrics)
 
 
 _RABI_SCHEMA = {
@@ -251,30 +258,26 @@ def _run_rabi(p: dict, seed: int) -> RunResult:
     if p["op"] == "ladder":
         if p["Omega"] <= 0:
             raise ConfigError("params.Omega: must be > 0 for op 'ladder'")
-        cols = [("n", ""), ("carrier", "Hz"), ("red_sideband", "Hz"),
-                ("blue_sideband", "Hz")]
         count = p["n_top"] + 1
         carrier = np.abs(ladder(0, count, c)) / TWO_PI
         blue = np.abs(ladder(1, count, c)) / TWO_PI   # n -> n+1
         red = np.concatenate(([0.0], blue[:-1]))      # n -> n-1
-        rows = [(n, float(a), float(r), float(b))
-                for n, (a, r, b) in enumerate(zip(carrier, red, blue))]
+        table = {"n": np.arange(count), "carrier [Hz]": carrier,
+                 "red_sideband [Hz]": red, "blue_sideband [Hz]": blue}
         metrics = {
-            "carrier0_Hz": rows[0][1],
-            "blue0_Hz": rows[0][3],
-            "blue0_over_carrier0": rows[0][3] / rows[0][1],
+            "carrier0_Hz": float(carrier[0]),
+            "blue0_Hz": float(blue[0]),
+            "blue0_over_carrier0": float(blue[0] / carrier[0]),
         }
-        return RunResult(cols, rows, metrics)
+        return RunResult(table, metrics)
     tau = _tau_grid(p["tau"], "params.tau")
     sig = rabi_decay_signal(p["populations"], p["gamma0"], c, tau)
-    cols = [("tau", "s"), ("P_down", "")]
-    rows = [(float(t), float(v)) for t, v in zip(sig.tau_grid, sig.P_down)]
     metrics = {
-        "P_down_t0": rows[0][1],
-        "P_down_final": rows[-1][1],
+        "P_down_t0": float(sig.P_down[0]),
+        "P_down_final": float(sig.P_down[-1]),
         "P_down_min": float(np.min(sig.P_down)),
     }
-    return RunResult(cols, rows, metrics)
+    return RunResult({"tau [s]": sig.tau_grid, "P_down": sig.P_down}, metrics)
 
 
 _GATE_SCHEMA = {
@@ -316,27 +319,28 @@ def _run_gate(p: dict, seed: int) -> RunResult:
                 CouplingParams(Omega=1.0, eta=p["aux_eta"]), phi_a=p["phi_a"]
             )
             extra = {}
-        cols = [("row", ""), ("col", ""), ("re", ""), ("im", "")]
         meta = {"basis": " ".join(report.basis)}
         for k, v in report.truth_table.items():
             meta[f"truth {k}"] = v
-        rows = [(i, j, float(z.real), float(z.imag))
-                for (i, j), z in np.ndenumerate(report.unitary)]
+        U = report.unitary
+        row, col = np.indices(U.shape).reshape(2, -1)
+        table = {"row": row, "col": col, "re": U.real.ravel(), "im": U.imag.ravel()}
         metrics = {"fidelity_vs_ideal": report.fidelity_vs_ideal, **extra}
-        return RunResult(cols, rows, metrics, meta)
+        return RunResult(table, metrics, meta)
     if op == "entangle":
         reg = prepare_max_entangled(p["L"])
         ideal = np.zeros_like(reg.amps)
         ideal[0, 0] = ideal[-1, 0] = 1.0 / math.sqrt(2.0)
-        cols = [("spins", ""), ("bus_n", ""), ("re", ""), ("im", "")]
-        rows = [(format(i, f"0{p['L']}b"), nb, float(z.real), float(z.imag))
-                for (i, nb), z in np.ndenumerate(reg.amps)]
+        spins, bus_n = np.indices(reg.amps.shape).reshape(2, -1)
+        table = {"spins": [format(i, f"0{p['L']}b") for i in spins.tolist()],
+                 "bus_n": bus_n, "re": reg.amps.real.ravel(),
+                 "im": reg.amps.imag.ravel()}
         metrics = {
             "overlap_ideal": float(abs(np.vdot(ideal, reg.amps)) ** 2),
             "bus_excited_weight": reg.bus_excited_weight(),
             "purity_ion0": reg.reduced_spin_purity(0),
         }
-        return RunResult(cols, rows, metrics)
+        return RunResult(table, metrics)
     # noisy_sequence: one sweep over M_top pulses reads every M on the way.
     # Its largest array holds the normal draws, trials x M_top for each
     # random error (area, phase); everything else is one trial batch.
@@ -347,21 +351,19 @@ def _run_gate(p: dict, seed: int) -> RunResult:
     base = PulseSpec("carrier", p["theta"], CouplingParams(Omega=1.0, eta=0.0))
     model = {"zeta_rms": p["zeta_rms"], "phi_rms": p["phi_rms"],
              "systematic": p["systematic"]}
-    cols = [("M", ""), ("F_mean", ""), ("F_std", ""), ("infidelity", ""),
-            ("quad_coeff", "")]
     sweep = noisy_sequence_fidelity([base] * M_top, model, trials=p["trials"],
                                     base_seed=seed, lengths=p["M_values"])
-    rows = [(M, r["F_mean"], r["F_std"], 1.0 - r["F_mean"],
-             r["quadratic_fit"]["coefficient"])
-            for M, r in zip(p["M_values"], sweep)]
-    metrics = {"infidelity_at_max_M": rows[-1][3],
-               "quad_coeff_at_max_M": rows[-1][4]}
-    logM = [math.log(r[0]) for r in rows if r[3] > 0]
-    logI = [math.log(r[3]) for r in rows if r[3] > 0]
-    if len(logM) >= 2:
-        slope = np.polyfit(logM, logI, 1)[0]
-        metrics["infidelity_slope_vs_M"] = float(slope)
-    return RunResult(cols, rows, metrics)
+    F = np.array([r["F_mean"] for r in sweep])
+    infid = 1.0 - F
+    coeff = [r["quadratic_fit"]["coefficient"] for r in sweep]
+    table = {"M": p["M_values"], "F_mean": F, "F_std": [r["F_std"] for r in sweep],
+             "infidelity": infid, "quad_coeff": coeff}
+    metrics = {"infidelity_at_max_M": float(infid[-1]), "quad_coeff_at_max_M": coeff[-1]}
+    logs = [(math.log(M), math.log(i)) for M, i in zip(p["M_values"], infid) if i > 0]
+    if len(logs) >= 2:
+        logM, logI = zip(*logs)
+        metrics["infidelity_slope_vs_M"] = float(np.polyfit(logM, logI, 1)[0])
+    return RunResult(table, metrics)
 
 
 _INITIAL_SCHEMA = {
@@ -398,16 +400,14 @@ def _run_cool(p: dict, seed: int) -> RunResult:
         scatters_per_cycle=p["scatters_per_cycle"],
     )
     res = sideband_cool(dm, cfg, seed=seed)
-    cols = [("cycle", ""), ("mean_n", ""), ("P0", "")]
-    rows = [(k, float(m), float(q))
-            for k, (m, q) in enumerate(zip(res.mean_n, res.p0))]
+    table = {"cycle": np.arange(res.mean_n.size), "mean_n": res.mean_n, "P0": res.p0}
     metrics = {
-        "final_mean_n": rows[-1][1],
-        "final_P0": rows[-1][2],
+        "final_mean_n": float(res.mean_n[-1]),
+        "final_P0": float(res.p0[-1]),
         "limit_nbar": cooling_limit(cfg.gamma_rad, cfg.omega_z),
         "recoil_ratio": cfg.recoil_ratio,
     }
-    return RunResult(cols, rows, metrics)
+    return RunResult(table, metrics)
 
 
 _HEAT_SCHEMA = {
@@ -461,23 +461,22 @@ def _run_heat(p: dict, seed: int) -> RunResult:
         grid = np.linspace(0.0, p["t_end"], p["points"])
         states = master_equation_trajectory(_diag_density(p["initial"]), b,
                                             p["t_end"], p["points"] - 1)
-        cols = [("t", "s"), ("mean_n", ""), ("P0", ""), ("P1", ""), ("P2", "")]
         rows = []
         for t, rho in zip(grid, states):
             d = np.real(np.diag(rho.rho))
-            rows.append((float(t), rho.mean_n(), float(d[0]), float(d[1]),
-                         float(d[2]) if rho.n_max >= 2 else 0.0))
+            rows.append((t, rho.mean_n(), d[0], d[1], d[2] if rho.n_max >= 2 else 0.0))
+        table = _table(("t [s]", "mean_n", "P0", "P1", "P2"), rows)
+        mean_n = table["mean_n"]
         p_th = b.thermal_populations(rho.n_max)
-        closed = mean_n_evolution(rows[0][1], b, p["t_end"])
+        closed = mean_n_evolution(mean_n[0], b, p["t_end"])
         metrics = {
-            "final_mean_n": rows[-1][1],
+            "final_mean_n": mean_n[-1],
             "final_tv_vs_thermal": float(0.5 * np.sum(np.abs(d - p_th))),
-            "mean_n_closed_abs_err": abs(rows[-1][1] - closed),
+            "mean_n_closed_abs_err": abs(mean_n[-1] - closed),
             "trace_defect": abs(rho.trace() - 1.0),
         }
-        return RunResult(cols, rows, metrics)
+        return RunResult(table, metrics)
     # estimators
-    cols = [("estimate", ""), ("value", ""), ("unit", "")]
     rows, metrics = [], {}
     if p["resistive"] is not None:
         rs = p["resistive"]
@@ -533,7 +532,7 @@ def _run_heat(p: dict, seed: int) -> RunResult:
             if p[k] is not None:
                 raise ConfigError(f"params.{k}: read only by stray_field, "
                                   "collisions or a resistive block with d")
-    return RunResult(cols, rows, metrics)
+    return RunResult(_table(("estimate", "value", "unit"), rows), metrics)
 
 
 _NOISE_SCHEMA = {
@@ -570,15 +569,14 @@ def _run_noise(p: dict, seed: int) -> RunResult:
         eps_list = p["epsilon_values"] or [
             p["epsilon"] * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)
         ]
-        cols = [("epsilon", ""), ("prob_within", "")]
-        rows = [(float(e), float(st.prob_within(e))) for e in eps_list]
+        table = {"epsilon": eps_list, "prob_within": [st.prob_within(e) for e in eps_list]}
         metrics = {
             "mean_factor": st.mean_factor,
             "rms_exact": st.rms_exact,
             "rms_small_eta": st.rms_small_eta,
             "prob_within": float(st.prob_within(p["epsilon"])),
         }
-        return RunResult(cols, rows, metrics)
+        return RunResult(table, metrics)
     if op == "envelopes":
         tau = _tau_grid(p["tau"], "params.tau")
         gauss, lap = (slow_amplitude_noise_envelope(shape, p["slow_rms"], tau, p["Omega"])
@@ -586,10 +584,8 @@ def _run_noise(p: dict, seed: int) -> RunResult:
         fast = fast_amplitude_noise_visibility(
             p["fast_ratio"] * p["omega_amp"], p["omega_amp"], tau, p["Omega"]
         )
-        cols = [("tau", "s"), ("slow_gaussian", ""), ("slow_laplacian", ""),
-                ("fast_closed", ""), ("fast_exact", "")]
-        rows = [tuple(map(float, r)) for r in
-                zip(tau, gauss, lap, fast["closed_form"], fast["phi_average"])]
+        table = {"tau [s]": tau, "slow_gaussian": gauss, "slow_laplacian": lap,
+                 "fast_closed": fast["closed_form"], "fast_exact": fast["phi_average"]}
         rms = p["slow_rms"]       # without slow noise the contrast never halves
         metrics = {
             "gauss_half_contrast_s": (math.sqrt(math.log(2.0) / 2.0) / rms
@@ -600,7 +596,7 @@ def _run_noise(p: dict, seed: int) -> RunResult:
                 np.max(np.abs(fast["closed_form"] - fast["phi_average"]))
             ),
         }
-        return RunResult(cols, rows, metrics)
+        return RunResult(table, metrics)
     # spectator
     smooth_T = (p["smooth_duration"] if p["smooth_duration"] is not None
                 else p["duration"])
@@ -610,10 +606,8 @@ def _run_noise(p: dict, seed: int) -> RunResult:
     sm = spectator_leakage(p["Omega"], p["Omega_prime"], p["Delta"],
                            envelope="smooth", duration=smooth_T,
                            tau_r=tau_r)
-    cols = [("envelope", ""), ("C_s_final", ""), ("adiabatic_estimate", ""),
-            ("norm_defect", "")]
-    rows = [(name, r["C_s_final"], r["adiabatic_estimate"], r["norm_defect"])
-            for name, r in (("square", sq), ("smooth", sm))]
+    table = {"envelope": ["square", "smooth"],
+             **{k: [sq[k], sm[k]] for k in ("C_s_final", "adiabatic_estimate", "norm_defect")}}
     metrics = {
         "square_C_s": sq["C_s_final"],
         "smooth_C_s": sm["C_s_final"],
@@ -621,7 +615,7 @@ def _run_noise(p: dict, seed: int) -> RunResult:
                               if sm["C_s_final"] > 0 else math.inf),
         "drive_ratio": p["Omega_prime"] / p["Delta"],
     }
-    return RunResult(cols, rows, metrics)
+    return RunResult(table, metrics)
 
 
 _CLOCK_SCHEMA = {
@@ -638,8 +632,6 @@ _CLOCK_SCHEMA = {
 
 
 def _run_clock(p: dict, seed: int) -> RunResult:
-    cols = [("L", ""), ("n_exp", ""), ("epsilon", ""), ("T_R", "s"),
-            ("delta_omega", "rad/s"), ("margin", "")]
     rows, metrics = [], {}
     for L in p["L_values"]:
         for n in p["n_values"]:
@@ -649,12 +641,12 @@ def _run_clock(p: dict, seed: int) -> RunResult:
                                  K2=p["K2"], K3=p["K3"], epsilon=eps)
                 out = clock_lock_analysis(cp, mode=p["mode"])
                 margin = out.get("K1", out.get("K3"))
-                rows.append((L, float(n), float(eps), out["T_R"],
-                             out["delta_omega"], float(margin)))
+                rows.append((L, n, eps, out["T_R"], out["delta_omega"], margin))
                 dw[eps] = out["delta_omega"]
             if 0.5 in dw and 1.0 in dw:
                 metrics[f"gain.L{L}.n{n:g}"] = dw[0.5] / dw[1.0]
-    return RunResult(cols, rows, metrics)
+    header = ("L", "n_exp", "epsilon", "T_R [s]", "delta_omega [rad/s]", "margin")
+    return RunResult(_table(header, rows), metrics)
 
 
 _TOMO_SCHEMA = {
@@ -695,18 +687,15 @@ def _run_tomography(p: dict, seed: int) -> RunResult:
         truth = np.zeros(p["n_cut"] + 1)
         src = p["populations"][: truth.size]
         truth[: len(src)] = src
-        cols = [("n", ""), ("P_true", ""), ("P_recovered", ""), ("abs_err", "")]
-        rows = [
-            (n, float(truth[n]), float(est["P"][n]),
-             float(abs(est["P"][n] - truth[n])))
-            for n in range(p["n_cut"] + 1)
-        ]
+        abs_err = np.abs(est["P"] - truth)
+        table = {"n": np.arange(truth.size), "P_true": truth,
+                 "P_recovered": est["P"], "abs_err": abs_err}
         metrics = {
-            "max_abs_error": float(np.max(np.abs(est["P"] - truth))),
+            "max_abs_error": float(np.max(abs_err)),
             "residual": float(est["residual"]),
             "sum_P_recovered": float(np.sum(est["P"])),
         }
-        return RunResult(cols, rows, metrics)
+        return RunResult(table, metrics)
     # coherence
     c = CouplingParams(Omega=p["Omega"], eta=p["eta"])
     c0, c1 = _TOMO_STATES[p["state"]]
@@ -714,10 +703,9 @@ def _run_tomography(p: dict, seed: int) -> RunResult:
     amps = np.zeros(2 * (n_max + 1), dtype=complex)
     amps[0], amps[1] = c0, c1
     out = coherence_tomography(QuantumState(amps, n_max), c)
-    cols = [("analysis_phase", "rad"), ("P_down", "")]
-    rows = [(float(ph), float(pd)) for ph, pd in sorted(out["P_down"].items())]
+    phase, p_down = zip(*sorted(out["P_down"].items()))
     metrics = {"re_rho01": out["re"], "im_rho01": out["im"]}
-    return RunResult(cols, rows, metrics)
+    return RunResult({"analysis_phase [rad]": phase, "P_down": p_down}, metrics)
 
 
 _HANDLERS = {
@@ -761,10 +749,14 @@ def render_csv(name: str, cfg: ExperimentConfig, seed: int,
         lines.append(f"# {k}: {v}")
     for k, v in result.metrics.items():
         lines.append(f"# metric {k} = {_cell(v)}")
-    lines.append(",".join(
-        f"{n} [{u}]" if u else n for n, u in result.columns
-    ))
-    lines.extend(",".join(map(_cell, row)) for row in result.rows)
+    lines.append(",".join(result.table))
+    cells = [list(map(repr, v.tolist()))
+             if isinstance(v, np.ndarray) and v.dtype.kind == "f" else list(map(_cell, v))
+             for v in result.table.values()]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("table columns differ in length: "
+                         + ", ".join(f"{h} {len(c)}" for h, c in zip(result.table, cells)))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -838,17 +830,15 @@ def render_manifest(name: str, origin: str, sha: str,
 
 
 def _plot_files(name: str, cfg: ExperimentConfig, result: RunResult) -> list:
-    """(filename, svg text) per plot block; names resolved against columns."""
+    """(filename, svg text) per plot block; columns named without their unit."""
     out = []
-    col_names = [n for n, _ in result.columns]
-    col_units = {n: u for n, u in result.columns}
+    headers = {h.split(" [")[0]: h for h in result.table}
 
-    def numeric_column(label: str, key: str) -> list[float]:
-        if label not in col_names:
+    def numeric_column(label: str, key: str) -> np.ndarray:
+        if label not in headers:
             raise ConfigError(f"{key}: no column named {label!r}")
-        idx = col_names.index(label)
         try:
-            return [float(r[idx]) for r in result.rows]
+            return np.asarray(result.table[headers[label]], dtype=float)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: column {label!r} is not numeric") from None
 
@@ -856,9 +846,7 @@ def _plot_files(name: str, cfg: ExperimentConfig, result: RunResult) -> list:
         x = numeric_column(pl["x"], f"plot[{i}].x")
         series = [(yname, numeric_column(yname, f"plot[{i}].y"))
                   for yname in pl["y"]]
-        xu = col_units.get(pl["x"], "")
-        xlabel = f"{pl['x']} [{xu}]" if xu else pl["x"]
-        svg = line_plot(x, series, title=pl["title"], xlabel=xlabel,
+        svg = line_plot(x, series, title=pl["title"], xlabel=headers[pl["x"]],
                         ylabel=pl["y"][0] if len(pl["y"]) == 1 else "")
         default = f"{name}.svg" if len(cfg.plots) == 1 else f"{name}_{i}.svg"
         out.append((pl["file"] or default, svg))

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ionsim import cli
 from ionsim._config import (
@@ -945,6 +946,74 @@ def test_svg_writer_rejects_all_nan():
         line_plot([0.0, 1.0], [("s", [float("nan")] * 2)])
 
 
+def _oracle_shapes(x, series):
+    """The polyline and circle lines of the earlier line_plot, which placed
+    and formatted one point at a time in Python floats."""
+    xs = [float(v) for v in x]
+    all_y = [float(v) for _, ys in series for v in ys if math.isfinite(float(v))]
+    finite_x = [v for v in xs if math.isfinite(v)]
+    x_lo, x_hi = min(finite_x), max(finite_x)
+    y_lo, y_hi = min(all_y), max(all_y)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    iw, ih = 720 - 74 - 20, 460 - 42 - 56
+
+    def px(v):
+        return 74 + (v - x_lo) / (x_hi - x_lo) * iw
+
+    def py(v):
+        return 42 + (y_hi - v) / (y_hi - y_lo) * ih
+
+    out = []
+    for idx, (_, ys) in enumerate(series):
+        color = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")[idx % 6]
+        run, chunks = [], []
+        for xv, yv in zip(xs, ys):
+            yv = float(yv)
+            if math.isfinite(xv) and math.isfinite(yv):
+                run.append(f"{px(xv):.2f},{py(yv):.2f}")
+            elif run:
+                chunks.append(run)
+                run = []
+        if run:
+            chunks.append(run)
+        for chunk in chunks:
+            if len(chunk) == 1:
+                cx, cy = chunk[0].split(",")
+                out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
+            else:
+                out.append(f'<polyline points="{" ".join(chunk)}" fill="none" '
+                           f'stroke="{color}" stroke-width="1.6"/>')
+    return out
+
+
+SVG_POINTS = st.one_of(st.just(math.nan), st.just(math.inf), st.just(-math.inf),
+                       st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(SVG_POINTS, min_size=n, max_size=n),
+    st.lists(st.lists(SVG_POINTS, min_size=n, max_size=n), min_size=1, max_size=3))))
+@example(([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+          [[0.0, math.nan, 2.0, math.nan, math.nan, 5.0, 6.0]]))
+@example(([0.0, 1.0, math.nan, 3.0, 4.0], [[1.0, 2.0, 3.0, math.inf, 5.0],
+                                           [math.nan, math.nan, math.nan, 7.0, math.nan]]))
+def test_svg_points_match_the_point_by_point_writer(case):
+    # NaN and inf gaps break the polyline and a lone finite point is a dot,
+    # exactly as the per-point loop drew them
+    x, ys = case
+    assume(any(map(math.isfinite, x)) and any(map(math.isfinite, sum(ys, []))))
+    series = [(f"s{i}", np.array(y)) for i, y in enumerate(ys)]
+    out = line_plot(np.array(x), series)
+    shapes = [ln for ln in out.splitlines() if ln.startswith(("<polyline", "<circle"))]
+    assert shapes == _oracle_shapes(x, series)
+
+
 # ---------------------------------------------------------------------------
 # the CSV cell formatter against a copy of its earlier form, which checked
 # bool and int before float: the reordered branches must print the same bytes
@@ -984,6 +1053,41 @@ CELLS = st.one_of(
 @example(np.bool_(True))
 def test_cell_matches_its_oracle(v):
     assert cli._cell(v) == _oracle_cell(v)
+
+
+TABLE_CFG = argparse.Namespace(kind="rabi", description="")
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+
+
+def _column(n):
+    return st.one_of(
+        arrays(np.float64, n, elements=st.floats() | EDGE_FLOATS),
+        arrays(np.int64, n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.integers(), min_size=n, max_size=n),
+        st.lists(st.text(st.characters(exclude_characters="\n")), min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(_column(n), min_size=1, max_size=5)))
+def test_csv_columns_render_as_their_cells(columns):
+    table = {f"c{i}": col for i, col in enumerate(columns)}
+    text = cli.render_csv("t", TABLE_CFG, 0, cli.RunResult(table, {}))
+    lines = text.split("\n")[4:-1]       # after the four comment lines
+    assert lines[0] == ",".join(table)
+    assert lines[1:] == [",".join(map(_oracle_cell, row)) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("table", [
+    {"a": np.zeros(3), "b": [1, 2]},
+    {"a": ["x"], "b": np.arange(2)},
+    {"a": [1.0, 2.0], "b": [True, False], "c": []},
+])
+def test_csv_refuses_columns_of_unequal_length(table):
+    with pytest.raises(ValueError, match="differ in length"):
+        cli.render_csv("t", TABLE_CFG, 0, cli.RunResult(table, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -1146,7 +1250,7 @@ def test_gate_sweep_rows_follow_config_order(tmp_path, capsys):
         r = cli.noisy_sequence_fidelity([base] * M, model, trials=40, base_seed=body["seed"])
         expected.append((M, r["F_mean"], r["F_std"], 1.0 - r["F_mean"],
                          r["quadratic_fit"]["coefficient"]))
-    assert handler(p, body["seed"]).rows == expected
+    assert list(zip(*handler(p, body["seed"]).table.values())) == expected
 
 
 def test_module_runnable_as_script(tmp_path):

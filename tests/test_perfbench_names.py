@@ -44,3 +44,15 @@ def test_kernel_pass_builds():
     assert ops
     for name, run, check, _params in ops:
         assert callable(run) and callable(check), name
+
+
+def test_kernel_pass_outputs_pass_their_checks():
+    # the benchmark reports outputs_incorrect when a check returns a message
+    kernels = _load("kernels")
+    for name, run, check, params in kernels.build_pass(1, 0):
+        try:
+            out = run(params)
+        except Exception as err:
+            assert kernels.is_known_failure(name, err), f"{name}: {type(err).__name__}: {err}"
+            continue
+        assert not list(check(params, out)), name
