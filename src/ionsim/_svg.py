@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 720, 460
@@ -53,19 +51,17 @@ def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "") ->
     """SVG text for y-vs-x polylines.
 
     x is an array (or sequence) of floats and series a list of (label,
-    values) pairs, each values array the same length as x. Non-finite
-    points break the polyline rather than distorting the axes, and a run
-    of one finite point is drawn as a dot.
+    values) pairs, each values the same length as x. Non-finite points
+    break the polyline rather than distorting the axes, and a run of one
+    finite point is drawn as a dot.
     """
-    x = np.asarray(x, dtype=float)
-    ys = [np.asarray(v, dtype=float) for _, v in series]
-    x_ok = np.isfinite(x)
-    oks = [x_ok & np.isfinite(y) for y in ys]
-    all_y = np.concatenate([y[np.isfinite(y)] for y in ys] or [x[:0]])
-    if not x_ok.any() or not all_y.size:
+    xs = [float(v) for v in x]
+    all_y = [float(v) for _, ys in series for v in ys if math.isfinite(float(v))]
+    finite_x = [v for v in xs if math.isfinite(v)]
+    if not finite_x or not all_y:
         raise ValueError("nothing finite to plot")
-    x_lo, x_hi = float(x[x_ok].min()), float(x[x_ok].max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    x_lo, x_hi = min(finite_x), max(finite_x)
+    y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -76,10 +72,10 @@ def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "") ->
     iw = _W - _ML - _MR
     ih = _H - _MT - _MB
 
-    def px(v):
+    def px(v: float) -> float:
         return _ML + (v - x_lo) / (x_hi - x_lo) * iw
 
-    def py(v):
+    def py(v: float) -> float:
         return _MT + (y_hi - v) / (y_hi - y_lo) * ih
 
     parts = [
@@ -125,12 +121,19 @@ def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "") ->
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 18 {_MT + ih / 2:.1f})">{_esc(ylabel)}</text>'
         )
-    for idx, ((label, _), y, ok) in enumerate(zip(series, ys, oks)):
+    for idx, (label, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = list(map("{:.2f},{:.2f}".format, px(x[ok]).tolist(), py(y[ok]).tolist()))
-        # a run of finite points ends where the next finite index is not adjacent
-        cuts = [0, *(np.flatnonzero(np.diff(np.flatnonzero(ok)) > 1) + 1).tolist(), len(points)]
-        chunks = [points[a:b] for a, b in zip(cuts, cuts[1:])] if points else []
+        run: list[str] = []
+        chunks: list[list[str]] = []
+        for xv, yv in zip(xs, ys):
+            yv = float(yv)
+            if math.isfinite(xv) and math.isfinite(yv):
+                run.append(f"{px(xv):.2f},{py(yv):.2f}")
+            elif run:
+                chunks.append(run)
+                run = []
+        if run:
+            chunks.append(run)
         for chunk in chunks:
             if len(chunk) == 1:
                 cx, cy = chunk[0].split(",")

@@ -750,9 +750,7 @@ def render_csv(name: str, cfg: ExperimentConfig, seed: int,
     for k, v in result.metrics.items():
         lines.append(f"# metric {k} = {_cell(v)}")
     lines.append(",".join(result.table))
-    cells = [list(map(repr, v.tolist()))
-             if isinstance(v, np.ndarray) and v.dtype.kind == "f" else list(map(_cell, v))
-             for v in result.table.values()]
+    cells = [list(map(_cell, v)) for v in result.table.values()]
     if len({len(c) for c in cells}) > 1:
         raise ValueError("table columns differ in length: "
                          + ", ".join(f"{h} {len(c)}" for h, c in zip(result.table, cells)))

@@ -350,8 +350,7 @@ def cn_gate_single_pulse(k: int, m: int, eta: float, phi: float = 0.0) -> GateRe
         phi=-phi - math.pi,
         reference_pair=(1, 1),
     )
-    # + 0.0 clears the sign _drive's products leave on entries that are exactly 0
-    U = (-1.0) ** m * (_drive(np.eye(4, dtype=complex), p).T + 0.0)[np.ix_(_CN_ORDER, _CN_ORDER)]
+    U = (-1.0) ** m * pulse_unitary(p, n_max=1)[np.ix_(_CN_ORDER, _CN_ORDER)]
     require_unitary(U)
     return GateReport(
         unitary=U,
