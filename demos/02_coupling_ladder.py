@@ -7,8 +7,6 @@ structure produces zeros, including choices of eta where two carrier
 couplings sit at an exact integer ratio (useful for conditional logic).
 """
 
-import numpy as np
-
 from ionsim.coupling import (
     CouplingParams,
     ModeEnsemble,

@@ -10,7 +10,7 @@ quantum_core
     oscillator density matrices.
 coupling
     Spin-motion coupling strengths: Laguerre matrix elements, magic
-    Lamb-Dicke values, Debye-Waller statistics, addressing errors.
+    Lamb-Dicke values, Debye-Waller statistics.
 pulse_engine
     Exact pulse propagators, gate constructions, and error accumulation.
 decoherence

@@ -358,7 +358,8 @@ def _run_gate(p: dict, seed: int) -> RunResult:
     coeff = [r["quadratic_fit"]["coefficient"] for r in sweep]
     table = {"M": p["M_values"], "F_mean": F, "F_std": [r["F_std"] for r in sweep],
              "infidelity": infid, "quad_coeff": coeff}
-    metrics = {"infidelity_at_max_M": float(infid[-1]), "quad_coeff_at_max_M": coeff[-1]}
+    top = p["M_values"].index(M_top)
+    metrics = {"infidelity_at_max_M": float(infid[top]), "quad_coeff_at_max_M": coeff[top]}
     logs = [(math.log(M), math.log(i)) for M, i in zip(p["M_values"], infid) if i > 0]
     if len(logs) >= 2:
         logM, logI = zip(*logs)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
 from .coupling import CouplingParams, ladder, rabi_frequency
 from .errors import ModelInputError, RangeError, RegimeWarning, TruncationWarning
@@ -100,18 +99,6 @@ class CoolingResult:
     mean_n: np.ndarray
     p0: np.ndarray
     pulse_areas: np.ndarray
-
-
-def recoil_frequency(wavelength: float, mass: float) -> float:
-    """Photon recoil frequency hbar*k^2/(2m) in rad/s.
-
-    wavelength in meters, mass in kg. For a 313 nm photon on a 9.012 u
-    ion this lands near 2*pi*230 kHz.
-    """
-    if wavelength <= 0 or mass <= 0:
-        raise RangeError("wavelength and mass must be > 0")
-    k = 2.0 * math.pi / wavelength
-    return _const.hbar * k * k / (2.0 * mass)
 
 
 def cooling_limit(gamma_rad: float, omega_z: float) -> float:

@@ -2,9 +2,8 @@
 
 Everything here is closed-form: generalized Laguerre polynomials, the
 exact motional matrix elements and their small-confinement limits, magic
-confinement-parameter roots, thermal (Debye-Waller style) reduction
-statistics, standing-wave field tailoring, and figure-of-merit formulas
-for addressing crosstalk and spontaneous emission.
+confinement-parameter roots, and thermal (Debye-Waller style) reduction
+statistics.
 """
 
 from __future__ import annotations
@@ -189,193 +188,4 @@ def debye_waller_stats(e: ModeEnsemble) -> DebyeWallerStats:
         mean_factor=mean,
         rms_exact=rms_exact,
         rms_small_eta=math.sqrt(float(np.sum(x**2 * nbars * (nbars + 1.0)))),
-    )
-
-
-@dataclass(frozen=True)
-class StandingWaveDesign:
-    """Superposition coefficients for standing-wave field tailoring.
-
-    coefficients: C_m for the M component waves (leading term normalized
-    to 1 in units of the first wavenumber). killed_orders lists the
-    Taylor powers of the field forced to zero; leading_residual_order is
-    the first surviving power beyond them. Residual sideband coupling
-    scales as eta**suppression_exponent.
-    """
-
-    coefficients: np.ndarray
-    parity: str
-    killed_orders: tuple
-    leading_residual_order: int
-    suppression_exponent: int
-
-    def suppression(self, eta: float) -> float:
-        if eta < 0:
-            raise RangeError("eta must be >= 0")
-        return eta**self.suppression_exponent
-
-
-def standing_wave_coefficients(k_list, parity: str) -> StandingWaveDesign:
-    """Coefficients that null the low-order spatial derivatives of a field.
-
-    For M superposed waves of wavenumbers k_list:
-
-    parity="sine"   field sum C_m sin(k_m z): the odd Taylor powers
-                    z^3, z^5, ..., z^(2M-1) are cancelled and the
-                    gradient term is normalized (sum C_m k_m/k_1 = 1).
-    parity="cosine" field sum C_m cos(k_m z): even powers z^2, ...,
-                    z^(2M-2) cancelled, constant normalized (sum C_m = 1).
-
-    Raises RangeError for degenerate wavenumber sets.
-    """
-    k = np.asarray(k_list, dtype=float)
-    if k.ndim != 1 or len(k) < 1:
-        raise ModelInputError("k_list must be a non-empty 1-d sequence")
-    if np.any(k <= 0):
-        raise RangeError("wavenumbers must be positive")
-    M = len(k)
-    rho = k / k[0]
-    if parity == "sine":
-        killed = tuple(range(3, 2 * M, 2))
-        rows = [rho]  # gradient normalization
-        leading_residual = 2 * M + 1
-    elif parity == "cosine":
-        killed = tuple(range(2, 2 * M - 1, 2))
-        rows = [np.ones(M)]  # constant-term normalization
-        leading_residual = 2 * M
-    else:
-        raise ModelInputError(f"unknown parity '{parity}'")
-    for n in killed:
-        rows.append(rho**n)
-    A = np.vstack(rows)
-    b = np.zeros(M)
-    b[0] = 1.0
-    if np.linalg.cond(A) > 1e12:
-        raise RangeError(
-            "wavenumber set is degenerate (condition number above 1e12)"
-        )
-    C = np.linalg.solve(A, b)
-    return StandingWaveDesign(
-        coefficients=C,
-        parity=parity,
-        killed_orders=killed,
-        leading_residual_order=leading_residual,
-        suppression_exponent=2 * M,
-    )
-
-
-@dataclass(frozen=True)
-class EmissionRatio:
-    """Spontaneous-emission figure of merit for one gate operation."""
-
-    xi: float
-    kappa: float | None
-    kappa_opt: float | None
-    xi_min: float | None
-
-
-def spontaneous_emission_ratio(
-    Gamma_s: float | None = None,
-    Omega1: float | None = None,
-    eta: float | None = None,
-    Delta: float | None = None,
-    kappa: float | None = None,
-    raman: bool = False,
-    Gamma: float | None = None,
-    Delta_R: float | None = None,
-) -> EmissionRatio:
-    """Ratio of spontaneous-emission rate to gate Rabi frequency.
-
-    Single-photon qubit with a nearby spectator level of linewidth
-    Gamma_s detuned by Delta, driven sideband Rabi frequency Omega1,
-    confinement parameter eta, and decay-rate ratio kappa between the
-    upper qubit level and the spectator:
-
-        xi(kappa) = (Gamma_s / (2 Omega1)) * (kappa + zeta/kappa),
-        zeta = Omega1^2 / (eta Delta)^2.
-
-    The optimum kappa is sqrt(zeta) = Omega1/(eta Delta), giving
-    xi_min = Gamma_s/(eta Delta).
-    With kappa=None the optimum is evaluated. All frequency inputs may be
-    given consistently in either angular or ordinary units.
-
-    raman=True switches to the two-photon variant: xi = Gamma/Delta_R,
-    independent of intensity.
-    """
-    if raman:
-        if Gamma is None or Delta_R is None:
-            raise ModelInputError("raman variant needs Gamma and Delta_R")
-        if Delta_R == 0:
-            raise RangeError("Delta_R must be nonzero")
-        x = Gamma / Delta_R
-        return EmissionRatio(xi=x, kappa=None, kappa_opt=None, xi_min=x)
-    if Gamma_s is None or Omega1 is None or eta is None or Delta is None:
-        raise ModelInputError("need Gamma_s, Omega1, eta and Delta")
-    if Omega1 <= 0 or Delta <= 0 or eta <= 0:
-        raise RangeError("Omega1, eta and Delta must be positive")
-    if Gamma_s == 0:
-        return EmissionRatio(xi=0.0, kappa=kappa, kappa_opt=None, xi_min=0.0)
-    zeta = Omega1**2 / (eta * Delta) ** 2
-    kappa_opt = math.sqrt(zeta)
-    xi_min = Gamma_s / (eta * Delta)
-    if kappa is None:
-        kappa = kappa_opt
-    elif kappa <= 0:
-        raise RangeError("kappa must be positive")
-    xi = (Gamma_s / (2.0 * Omega1)) * (kappa + zeta / kappa)
-    return EmissionRatio(xi=xi, kappa=kappa, kappa_opt=kappa_opt, xi_min=xi_min)
-
-
-def stark_addressing_epsilon(theta: float, m: int) -> dict:
-    """Intensity ratio that makes a neighbor close its off-resonant orbit.
-
-    With the target ion driven through pulse area theta on resonance, a
-    neighbor receiving relative intensity epsilon and a proportionate
-    level shift returns exactly to its initial state after m full
-    generalized-Rabi cycles when epsilon solves
-
-        epsilon^2 - [1 + (2 m pi / theta)^2] epsilon + 1 = 0.
-
-    (The integer in the printed quadratic is the cycle count m of the
-    same sentence.) The root in (0,1) is returned along with the leftover
-    relative phase xi = theta (1-epsilon)/sqrt(epsilon) on the neighbor,
-    equal to theta*sqrt((2 m pi/theta)^2 - 1).
-
-    Raises RangeError when the quadratic has no root strictly inside
-    (0,1) (the degenerate theta = 2 pi m case).
-    """
-    if not 0.0 < theta <= 2.0 * math.pi:
-        raise RangeError("theta must be in (0, 2*pi]")
-    if m < 1:
-        raise RangeError("m must be >= 1")
-    b = 1.0 + (2.0 * m * math.pi / theta) ** 2
-    disc = b * b - 4.0
-    if disc <= 0.0:
-        raise RangeError("no epsilon root strictly inside (0,1)")
-    # rationalized root, stable when b is large (small theta)
-    eps = 2.0 / (b + math.sqrt(disc))
-    xi = theta * (1.0 - eps) / math.sqrt(eps)
-    return {"epsilon": eps, "xi_phase": xi}
-
-
-def shot_noise_floor(
-    P_u: float, tau_op: float, wavelength: float, eta_det: float, eps_split: float
-) -> float:
-    """Photon shot-noise limit of fractional power stabilization.
-
-    A pickoff fraction eps_split of the beam monitored with quantum
-    efficiency eta_det bounds the achievable fractional power noise of a
-    pulse of usable power P_u and duration tau_op:
-
-        dP/P >= sqrt(hbar*omega / (P_u tau_op eta_det eps (1-eps))).
-    """
-    from scipy.constants import c as c_light, hbar
-
-    if P_u <= 0 or tau_op <= 0 or wavelength <= 0:
-        raise RangeError("P_u, tau_op and wavelength must be positive")
-    if not (0.0 < eta_det <= 1.0) or not (0.0 < eps_split < 1.0):
-        raise RangeError("eta_det in (0,1], eps_split in (0,1)")
-    omega = 2.0 * math.pi * c_light / wavelength
-    return math.sqrt(
-        hbar * omega / (P_u * tau_op * eta_det * eps_split * (1.0 - eps_split))
     )

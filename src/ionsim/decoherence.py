@@ -7,9 +7,8 @@ the thermal populations and analytic mean-occupation law it must reproduce.
 
 The second half collects the measurement-side tools: synthesis and
 inversion of decaying Rabi flop signals, averaged-signal envelopes for
-slow and fast drive-strength noise, Stark-shift phase-noise ratios,
-off-resonant spectator-level leakage, qubit-frequency modulation
-sidebands, and the two-pulse interference protocol that reads out the
+slow and fast drive-strength noise, off-resonant spectator-level
+leakage, and the two-pulse interference protocol that reads out the
 motional 0-1 coherence.
 
 Conventions: rates are angular (rad/s), populations are probabilities,
@@ -23,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import j0, jv
+from scipy.special import j0
 from scipy.optimize import nnls
-from scipy import constants as _const
 
 from .errors import DimensionError, ModelInputError, RangeError, TruncationError
 from .quantum_core import DEFAULT_EPS_TRUNC, DensityMatrix, QuantumState
@@ -42,9 +40,7 @@ class BathParams:
     """Thermal reservoir coupled to one motional mode.
 
     gamma is the energy relaxation rate (1/s) and nbar the equilibrium
-    occupation the mode relaxes toward. The derived t_star is the mean
-    time to leave the motional ground state, 1/(nbar*gamma); it is
-    infinite for a zero-temperature or decoupled bath.
+    occupation the mode relaxes toward.
     """
 
     gamma: float
@@ -55,12 +51,6 @@ class BathParams:
             raise RangeError("relaxation rate gamma must be >= 0")
         if self.nbar < 0:
             raise RangeError("equilibrium occupation nbar must be >= 0")
-
-    @property
-    def t_star(self) -> float:
-        if self.gamma > 0 and self.nbar > 0:
-            return 1.0 / (self.nbar * self.gamma)
-        return math.inf
 
     def thermal_populations(self, n_max: int) -> np.ndarray:
         """nbar^n / (1+nbar)^(n+1) for n = 0..n_max, not renormalized over
@@ -367,43 +357,6 @@ def fast_amplitude_noise_visibility(
     return {"closed_form": closed, "phi_average": exact}
 
 
-def stark_phase_noise_ratio(
-    g1: float,
-    g2: float,
-    eta: float,
-    Delta_R: float,
-    correlated: bool = False,
-) -> dict:
-    """Light-shift phase noise relative to rotation-angle noise.
-
-    Two fields of strengths g1, g2 detuned by Delta_R from their virtual
-    level shift the qubit by omega_s = -(g2^2 - g1^2)/Delta_R while
-    driving two-photon rotations at rate ~ eta g1 g2 / Delta_R. For
-    independent (uncorrelated) fractional strength fluctuations the
-    variance ratio of the Stark phase to the rotation angle is
-
-        (g1^4 + g2^4) / (2 eta^2 g1^2 g2^2)
-
-    which is exactly 1/eta^2 at g1 = g2. When both strengths ride the
-    same fluctuation (correlated=True) the shifts partially cancel and
-    the ratio becomes (g1^2 - g2^2)^2 / (2 eta^2 g1^2 g2^2), vanishing
-    at matched strengths. A dead field makes the ratio infinite.
-    """
-    if Delta_R == 0:
-        raise ModelInputError("Delta_R must be nonzero")
-    if eta <= 0:
-        raise RangeError("eta must be > 0")
-    a, b2 = float(g1) ** 2, float(g2) ** 2
-    omega_s = -(b2 - a) / Delta_R
-    if a == 0.0 or b2 == 0.0:
-        return {"omega_s": omega_s, "ratio": math.inf, "correlated": bool(correlated)}
-    if correlated:
-        ratio = (a - b2) ** 2 / (2.0 * eta * eta * a * b2)
-    else:
-        ratio = (a * a + b2 * b2) / (2.0 * eta * eta * a * b2)
-    return {"omega_s": omega_s, "ratio": ratio, "correlated": bool(correlated)}
-
-
 # ---------------------------------------------------------------------------
 # spectator level leakage
 
@@ -516,42 +469,6 @@ def spectator_leakage(
 
 
 # ---------------------------------------------------------------------------
-# qubit-frequency modulation
-
-
-def bfield_modulation(beta0: float, omega_m: float, Omega_nn: float, k_max: int = 10) -> dict:
-    """Carrier strength under fast sinusoidal qubit-frequency modulation.
-
-    beta0 is the peak angular-frequency excursion of the qubit splitting
-    (carrier frequency times the fractional modulation depth, rad/s) and
-    omega_m the modulation frequency. The accumulated phase has
-    modulation index eta_m = beta0/omega_m, so the drive splits into
-    harmonics weighted by Bessel values J_k(eta_m); when omega_m is fast
-    compared to the drive strength everything but the k=0 term averages
-    out and the flop proceeds at |Omega| J_0(eta_m).
-
-    The average is only meaningful for omega_m >= 10 |Omega_nn|;
-    RangeError otherwise.
-    """
-    if omega_m <= 0:
-        raise RangeError("omega_m must be > 0")
-    if beta0 < 0:
-        raise RangeError("beta0 must be >= 0")
-    if omega_m < 10.0 * abs(Omega_nn):
-        raise RangeError(
-            f"omega_m = {omega_m:.3e} too slow for averaging "
-            f"(needs >= 10*|Omega| = {10.0 * abs(Omega_nn):.3e})"
-        )
-    eta_m = beta0 / omega_m
-    weights = jv(np.arange(k_max + 1), eta_m)
-    return {
-        "eta_m": eta_m,
-        "effective_Rabi_factor": float(j0(eta_m)),
-        "sideband_weights": weights,
-    }
-
-
-# ---------------------------------------------------------------------------
 # motional coherence readout
 
 
@@ -592,34 +509,3 @@ def coherence_tomography(state: QuantumState, coupling: CouplingParams) -> dict:
     re = 0.5 * (p_down[math.pi] - p_down[0.0])
     im = 0.5 * (p_down[0.5 * math.pi] - p_down[-0.5 * math.pi])
     return {"re": re, "im": im, "P_down": p_down}
-
-
-# ---------------------------------------------------------------------------
-# radiative decay
-
-
-def radiative_decay_rate(transition: str, omega0: float, moment: float | None = None) -> float:
-    """Free-space spontaneous decay rate of a two-level transition.
-
-    electric_dipole: omega0^3 |mu|^2 / (3 pi eps0 hbar c^3), default
-    moment one Bohr radius of electron charge displacement. The
-    magnetic_dipole form carries c^5 in place of c^3 and defaults to one
-    Bohr magneton. omega0 is angular (rad/s).
-    """
-    if omega0 <= 0:
-        raise RangeError("omega0 must be > 0")
-    if transition == "electric_dipole":
-        if moment is None:
-            moment = _const.e * _const.physical_constants["Bohr radius"][0]
-        c_pow = _const.c**3
-    elif transition == "magnetic_dipole":
-        if moment is None:
-            moment = _const.physical_constants["Bohr magneton"][0]
-        c_pow = _const.c**5
-    else:
-        raise ModelInputError(f"unknown transition type {transition!r}")
-    return (
-        omega0**3
-        * abs(moment) ** 2
-        / (3.0 * math.pi * _const.epsilon_0 * _const.hbar * c_pow)
-    )

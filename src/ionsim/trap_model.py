@@ -3,8 +3,7 @@
 Covers the closed-form layer of the simulator: secular frequencies from
 the Mathieu stability parameters, the lowest-order driven trajectory,
 chain equilibrium positions and axial normal modes, the zigzag stability
-bound, and the closed-form estimators for background-gas collisions,
-static-field cross-mode growth, coupled-oscillator energy exchange and
+bound, and the closed-form estimators for background-gas collisions and
 motional heating. Each heating channel (resistive electrode noise,
 stray-field-coupled voltage noise, diffusing patch potentials) is one
 function of its physical inputs that returns t*, the time to leave the
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import epsilon_0, hbar, k as k_B
-from scipy.special import j0, zeta
+from scipy.special import zeta
 
 from .errors import ModelInputError, RangeError
 
@@ -131,16 +130,6 @@ class CriticalAnisotropy:
     fit_b: float
     fit_c: float
     omega_r_bound: float
-
-
-@dataclass(frozen=True)
-class MicromotionFactors:
-    """Phase-modulation index and carrier-strength factor from a static
-    displacement into the rf field."""
-
-    phi_Omega: float
-    j0_factor: float
-    displacement: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -399,57 +388,6 @@ def critical_anisotropy(L: int, s_c: float, charge: float, mass: float) -> Criti
 
 
 # ---------------------------------------------------------------------------
-# sensitivities and micromotion
-
-
-def frequency_sensitivities(
-    p: TrapParams,
-    dV0: float = 0.0,
-    dOmegaT: float = 0.0,
-    dR: float = 0.0,
-    dkappa: float = 0.0,
-    dU0: float = 0.0,
-) -> dict[str, float]:
-    """Linearized fractional frequency shifts from fractional parameter shifts.
-
-    radial: dV0/V0 - dOmegaT/OmegaT - 2 dR/R (pseudopotential limit)
-    axial:  (dU0/U0 + dkappa/kappa) / 2
-
-    Raises RangeError if any |delta| >= 0.1 (outside the linear regime).
-    """
-    secular_frequencies(p)  # validates stability; result unused
-    for name, d in (("dV0", dV0), ("dOmegaT", dOmegaT), ("dR", dR),
-                    ("dkappa", dkappa), ("dU0", dU0)):
-        if abs(d) >= 0.1:
-            raise RangeError(f"{name}={d} outside the linear regime (|delta| < 0.1)")
-    return {
-        "radial": dV0 - dOmegaT - 2.0 * dR,
-        "axial": 0.5 * (dU0 + dkappa),
-    }
-
-
-def micromotion_suppression(
-    E_stray: np.ndarray, p: TrapParams, k: np.ndarray
-) -> MicromotionFactors:
-    """Carrier-strength reduction from stray-field-induced micromotion.
-
-    A static field displaces the ion by dx_i = q E_i / (m omega_i^2) into
-    the rf gradient, phase-modulating a probe of wavevector k with index
-    phi_Omega = (q_x/2)(k_x dx - k_y dy). The carrier matrix element is
-    reduced by J0(phi_Omega).
-    """
-    E = np.asarray(E_stray, dtype=float)
-    kv = np.asarray(k, dtype=float)
-    mc = secular_frequencies(p)
-    dx = p.charge * E[0] / (p.mass * mc.omega_x**2)
-    dy = p.charge * E[1] / (p.mass * mc.omega_y**2)
-    phi = (mc.q_x / 2.0) * (kv[0] * dx - kv[1] * dy)
-    return MicromotionFactors(
-        phi_Omega=phi, j0_factor=float(j0(phi)), displacement=(dx, dy)
-    )
-
-
-# ---------------------------------------------------------------------------
 # heating-time estimators: t*, the time to leave the motional ground state
 
 
@@ -537,44 +475,4 @@ def collision_rates(
         k_elastic=k_el,
         gamma_elastic=n * k_el,
         v_thermal=v_t,
-    )
-
-
-def cross_mode_growth(
-    second_gradient: float,
-    Q_l: float,
-    Q_m: float,
-    omega_k: float,
-    charge: float,
-    mass: float,
-    t: float,
-) -> float:
-    """Resonantly driven amplitude from a static second-order field gradient.
-
-    Two spectator modes with amplitudes Q_l, Q_m beating at the mode-k
-    frequency drive mode k through the field curvature; starting from rest
-    the amplitude grows linearly:
-
-        |q_k(t)| = |charge * t * Q_l * Q_m * second_gradient / (2 mass omega_k)|
-
-    The caller is responsible for the resonance condition.
-    """
-    if t < 0:
-        raise RangeError("t must be >= 0")
-    return abs(charge * t * Q_l * Q_m * second_gradient / (2.0 * mass * omega_k))
-
-
-def exchange_time(
-    q1: float, q2: float, m1: float, m2: float, d: float, omega_z: float
-) -> float:
-    """Energy-exchange time of two resonant charged oscillators a distance d apart.
-
-    The Coulomb cross-term q1 q2 z1 z2/(2 pi eps0 d^3) splits the normal
-    modes by delta_omega = q1 q2/(2 pi eps0 d^3 omega_z sqrt(m1 m2)); full
-    energy exchange takes t = pi/delta_omega.
-    """
-    if d <= 0 or omega_z <= 0:
-        raise RangeError("d and omega_z must be positive")
-    return (
-        2.0 * math.pi**2 * epsilon_0 * d**3 * omega_z * math.sqrt(m1 * m2) / (q1 * q2)
     )

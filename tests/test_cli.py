@@ -1134,8 +1134,14 @@ def test_bundled_scenario_passes(name, tmp_path, recwarn):
     assert "FAIL" not in man
     # the golden ledger: every metric, meta line and cell of the bundled run
     assert name in GOLDEN, "scenario missing from tests/golden/scenarios.json"
-    diff = mismatches(GOLDEN[name], parse_csv((out / f"{name}.csv").read_text()))
+    csv = parse_csv((out / f"{name}.csv").read_text())
+    diff = mismatches(GOLDEN[name], csv)
     assert not diff, "\n".join(diff)
+    # plots find a column by its header cut at " [", so each cut names one
+    headers = csv["header"].split(",")
+    bare = [h.split(" [")[0] for h in headers]
+    assert len(set(bare)) == len(bare)
+    assert all(h.count(" [") <= 1 for h in headers)
 
 
 def test_bundled_heat_run_makes_one_expm_call(tmp_path, monkeypatch):
@@ -1195,6 +1201,15 @@ def test_gate_sweep_rows_follow_config_order(tmp_path, capsys):
         expected.append((M, r["F_mean"], r["F_std"], 1.0 - r["F_mean"],
                          r["quadratic_fit"]["coefficient"]))
     assert list(zip(*handler(p, body["seed"]).table.values())) == expected
+
+
+def test_gate_sweep_metrics_read_the_largest_M():
+    body = _bundled("gate.error_budget")
+    body["params"].update(M_values=[16, 2, 8, 4], trials=40)
+    schema, handler = cli._HANDLERS["gate"]
+    res = handler(validate_block(body["params"], schema, "params"), body["seed"])
+    assert res.metrics["infidelity_at_max_M"] == res.table["infidelity"][0]
+    assert res.metrics["quad_coeff_at_max_M"] == res.table["quad_coeff"][0]
 
 
 def test_module_runnable_as_script(tmp_path):

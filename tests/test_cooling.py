@@ -5,7 +5,6 @@ Oracles used here and nowhere else:
 * An independently coded per-cycle stochastic matrix (explicit transfer
   plus binomial recoil stencil), replaying the recorded pulse areas, for
   the dual-route population check.
-* scipy.constants re-evaluation of hbar*k^2/(2m) for the recoil helper.
 * Closed forms asserted directly: the (gamma/(2*omega_z))^2 floor and
   exact dark/trapped fixed points of the cycle map.
 """
@@ -15,13 +14,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import constants as const
 
 from ionsim.cooling import (
     CoolingConfig,
     _kick_weights,
     cooling_limit,
-    recoil_frequency,
     sideband_cool,
 )
 from ionsim.coupling import CouplingParams, rabi_frequency
@@ -122,18 +119,6 @@ def test_recoil_dominated_bath_rejected():
 
 
 # ---------------------------------------------------------------- analytics
-
-
-def test_recoil_frequency_beryllium():
-    u = const.value("atomic mass constant")
-    wr = recoil_frequency(313e-9, 9.012 * u)
-    assert wr / (2 * math.pi) == pytest.approx(230e3, rel=0.05)
-    ref = const.hbar * (2 * math.pi / 313e-9) ** 2 / (2 * 9.012 * u)
-    assert wr == pytest.approx(ref, rel=1e-12)
-    with pytest.raises(RangeError):
-        recoil_frequency(0.0, 1.0)
-    with pytest.raises(RangeError):
-        recoil_frequency(313e-9, -1.0)
 
 
 def test_cooling_limit_value_and_regime():

@@ -5,10 +5,7 @@ Oracles used here and nowhere else:
     closed-form matrix element;
   * brute-force thermal sums (4000 Fock levels) for the reduction
     statistics;
-  * Monte Carlo over thermal occupations (1e5 samples, fixed seed);
-  * direct numerical integration of the off-resonant two-level problem
-    for the addressing phase;
-  * grid scan for the emission-ratio minimizer.
+  * Monte Carlo over thermal occupations (1e5 samples, fixed seed).
 """
 
 import math
@@ -16,7 +13,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, poch
 
@@ -28,10 +24,6 @@ from ionsim.coupling import (
     ladder,
     magic_eta,
     rabi_frequency,
-    shot_noise_floor,
-    spontaneous_emission_ratio,
-    standing_wave_coefficients,
-    stark_addressing_epsilon,
 )
 from ionsim.errors import ModelInputError, RangeError
 
@@ -303,15 +295,6 @@ def test_mode_ensemble_validation():
 # ------------------------------------------------------- standing waves
 
 
-def test_sw_single_sine():
-    d = standing_wave_coefficients([7.0e6], "sine")
-    assert d.coefficients == pytest.approx([1.0])
-    assert d.killed_orders == ()
-    assert d.suppression_exponent == 2
-    assert d.leading_residual_order == 3
-    assert d.suppression(0.1) == pytest.approx(0.01)
-
-
 def test_sw_sine_node_kills_even_transitions():
     # field ~ sin: only odd Fock-level changes couple at the node
     a_op = lowering(40)
@@ -321,159 +304,3 @@ def test_sw_sine_node_kills_even_transitions():
         for m in range(7):
             if (n - m) % 2 == 0:
                 assert abs(S[n, m]) < 1e-12
-
-
-def test_sw_two_wave_sine_ratio():
-    d = standing_wave_coefficients([1.0, 2.0], "sine")
-    C = d.coefficients
-    assert C[1] / C[0] == pytest.approx(-1.0 / 8.0, rel=1e-13)
-    assert C[0] * 1.0 + C[1] * 2.0 == pytest.approx(1.0, rel=1e-13)
-    assert d.killed_orders == (3,)
-    assert d.suppression_exponent == 4
-
-
-def test_sw_three_wave_cosine_taylor():
-    d = standing_wave_coefficients([1.0, 2.0, 3.0], "cosine")
-    C = d.coefficients
-    rho = np.array([1.0, 2.0, 3.0])
-    assert abs(np.sum(C) - 1.0) < 1e-12
-    assert abs(np.sum(C * rho**2)) < 1e-12
-    assert abs(np.sum(C * rho**4)) < 1e-12
-    assert d.killed_orders == (2, 4)
-    # surviving residual starts at z^6: halving z divides it by ~64
-    f = lambda z: float(np.sum(C * np.cos(rho * z)))
-    ratio = (f(0.1) - 1.0) / (f(0.05) - 1.0)
-    assert abs(ratio - 64.0) < 1.0
-
-
-def test_sw_degenerate_wavenumbers():
-    with pytest.raises(RangeError, match="wavenumber set is degenerate"):
-        standing_wave_coefficients([1.0, 1.0], "sine")
-    with pytest.raises(RangeError, match="wavenumber set is degenerate"):
-        standing_wave_coefficients([1.0, 2.0, 2.0], "cosine")
-    with pytest.raises(ModelInputError):
-        standing_wave_coefficients([1.0], "triangle")
-    with pytest.raises(RangeError):
-        standing_wave_coefficients([1.0, -2.0], "sine")
-
-
-# ------------------------------------------------------ emission figures
-
-
-def test_emission_ratio_anchor():
-    tp = 2.0 * math.pi
-    er = spontaneous_emission_ratio(
-        Gamma_s=tp * 25e6, Omega1=tp * 10e6, eta=0.1, Delta=tp * 1e14
-    )
-    assert er.xi == pytest.approx(2.5e-6, rel=1e-9)
-    assert er.kappa_opt == pytest.approx(1e-6, rel=1e-9)
-    assert er.kappa_opt / er.xi == pytest.approx(0.4, rel=1e-9)
-    assert er.xi_min == pytest.approx(2.5e-6, rel=1e-9)
-
-
-def test_emission_ratio_scan_matches_optimum():
-    tp = 2.0 * math.pi
-    kw = dict(Gamma_s=tp * 25e6, Omega1=tp * 10e6, eta=0.1, Delta=tp * 1e14)
-    best = min(
-        spontaneous_emission_ratio(kappa=float(k), **kw).xi
-        for k in np.logspace(-8, -4, 2001)
-    )
-    xi_min = spontaneous_emission_ratio(**kw).xi_min
-    assert abs(best / xi_min - 1.0) < 0.01
-    # off-optimum values sit strictly above
-    assert spontaneous_emission_ratio(kappa=1e-5, **kw).xi > xi_min
-
-
-def test_emission_ratio_edge_cases():
-    assert (
-        spontaneous_emission_ratio(Gamma_s=0.0, Omega1=1.0, eta=0.1, Delta=1e9).xi
-        == 0.0
-    )
-    er = spontaneous_emission_ratio(raman=True, Gamma=2.0e7, Delta_R=2.0e12)
-    assert er.xi == pytest.approx(1e-5, rel=1e-12)
-    with pytest.raises(ModelInputError):
-        spontaneous_emission_ratio(Gamma_s=1.0, Omega1=1.0, eta=0.1)
-    with pytest.raises(ModelInputError):
-        spontaneous_emission_ratio(raman=True, Gamma=1.0)
-    with pytest.raises(RangeError):
-        spontaneous_emission_ratio(Gamma_s=1.0, Omega1=1.0, eta=0.1, Delta=1e9, kappa=-1.0)
-
-
-# ------------------------------------------------------------ addressing
-
-
-def test_stark_addressing_anchor():
-    out = stark_addressing_epsilon(math.pi, 1)
-    assert abs(out["epsilon"] - 0.208) <= 0.002
-    assert abs(out["xi_phase"] - 1.74 * math.pi) <= 0.02 * math.pi
-    # closed forms
-    assert out["epsilon"] == pytest.approx((5.0 - math.sqrt(21.0)) / 2.0, rel=1e-12)
-    assert out["xi_phase"] == pytest.approx(math.pi * math.sqrt(3.0), rel=1e-12)
-
-
-def test_stark_addressing_vieta_and_limits():
-    for theta, m in [(math.pi, 1), (math.pi / 2, 1), (1.5, 3)]:
-        eps = stark_addressing_epsilon(theta, m)["epsilon"]
-        b = 1.0 + (2.0 * m * math.pi / theta) ** 2
-        other = (b + math.sqrt(b * b - 4.0)) / 2.0
-        assert eps * other == pytest.approx(1.0, rel=1e-10)
-        assert 0.0 < eps < 1.0
-    # neighbor fully detuned as the pulse area shrinks
-    eps = stark_addressing_epsilon(1e-3, 1)["epsilon"]
-    assert eps == pytest.approx((1e-3 / (2.0 * math.pi)) ** 2, rel=1e-6)
-    with pytest.raises(RangeError, match="no epsilon root strictly inside"):
-        stark_addressing_epsilon(2.0 * math.pi, 1)
-    with pytest.raises(RangeError):
-        stark_addressing_epsilon(0.0, 1)
-    with pytest.raises(RangeError):
-        stark_addressing_epsilon(math.pi, 0)
-
-
-def test_stark_addressing_dynamics_oracle():
-    # integrate the detuned two-level problem at the returned intensity
-    # ratio: the neighbor's populations must close and the leftover
-    # relative phase must equal xi (sign set by the shift direction)
-    out = stark_addressing_epsilon(math.pi, 1)
-    eps, xi = out["epsilon"], out["xi_phase"]
-    Om = 1.0
-    Delta = 2.0 * Om * (1.0 - eps) / math.sqrt(eps)
-    T = math.pi / (2.0 * Om)
-
-    def rhs(t, y):
-        cdn = y[0] + 1j * y[1]
-        cup = y[2] + 1j * y[3]
-        ddn = -1j * Om * np.exp(1j * Delta * t) * cup
-        dup = -1j * Om * np.exp(-1j * Delta * t) * cdn
-        return [ddn.real, ddn.imag, dup.real, dup.imag]
-
-    lo = solve_ivp(rhs, (0.0, T), [1.0, 0.0, 0.0, 0.0], rtol=1e-12, atol=1e-14)
-    hi = solve_ivp(rhs, (0.0, T), [0.0, 0.0, 1.0, 0.0], rtol=1e-12, atol=1e-14)
-    c_dn = lo.y[0, -1] + 1j * lo.y[1, -1]
-    leak = lo.y[2, -1] + 1j * lo.y[3, -1]
-    c_up = hi.y[2, -1] + 1j * hi.y[3, -1]
-    assert abs(abs(c_dn) - 1.0) < 1e-9
-    assert abs(leak) < 1e-9
-    rel = c_up / c_dn
-    assert abs(rel - np.exp(-1j * xi)) < 1e-6
-
-
-# ------------------------------------------------------------- shot noise
-
-
-def test_shot_noise_floor_anchor():
-    v = shot_noise_floor(1.0, 1e-6, 313e-9, 0.5, 0.5)
-    assert abs(v / 2.3e-6 - 1.0) < 0.05
-
-
-def test_shot_noise_floor_scalings():
-    base = shot_noise_floor(1.0, 1e-6, 313e-9, 0.5, 0.5)
-    assert shot_noise_floor(1.0, 1e-6, 313e-9, 1.0, 0.5) == pytest.approx(
-        base / math.sqrt(2.0), rel=1e-12
-    )
-    assert shot_noise_floor(1.0, 1e-4, 313e-9, 0.5, 0.5) == pytest.approx(
-        base * 0.1, rel=1e-12
-    )
-    with pytest.raises(RangeError):
-        shot_noise_floor(-1.0, 1e-6, 313e-9, 0.5, 0.5)
-    with pytest.raises(RangeError):
-        shot_noise_floor(1.0, 1e-6, 313e-9, 0.5, 1.0)

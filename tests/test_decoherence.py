@@ -17,7 +17,6 @@ Oracles used here and nowhere else:
   ensembles and of the fast-modulation phase average.
 * Bisection on the analytic envelopes for the half-contrast points,
   against the closed forms sqrt(ln 2 / 2) and 1/sqrt(2).
-* scipy.constants for the spontaneous-rate formula re-evaluated inline.
 """
 
 import math
@@ -25,15 +24,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import constants as const
 from scipy.integrate import solve_ivp
-from scipy.special import jv
 
 from ionsim.coupling import CouplingParams, rabi_frequency
 from ionsim.decoherence import (
     BathParams,
     RabiSignal,
-    bfield_modulation,
     coherence_tomography,
     fast_amplitude_noise_visibility,
     invert_populations,
@@ -41,10 +37,8 @@ from ionsim.decoherence import (
     master_equation_trajectory,
     mean_n_evolution,
     rabi_decay_signal,
-    radiative_decay_rate,
     slow_amplitude_noise_envelope,
     spectator_leakage,
-    stark_phase_noise_ratio,
 )
 from ionsim.errors import (
     DimensionError,
@@ -91,11 +85,7 @@ def _reservoir_rhs(n_max, gamma, nbar):
 # ---------------------------------------------------------------- bath params
 
 
-def test_bath_params_validation_and_t_star():
-    b = BathParams(gamma=2.0, nbar=0.5)
-    assert b.t_star == pytest.approx(1.0, rel=1e-15)
-    assert BathParams(gamma=1.0, nbar=0.0).t_star == math.inf
-    assert BathParams(gamma=0.0, nbar=3.0).t_star == math.inf
+def test_bath_params_validation():
     with pytest.raises(RangeError):
         BathParams(gamma=-1.0, nbar=0.5)
     with pytest.raises(RangeError):
@@ -584,40 +574,6 @@ def test_fast_noise_phase_average_matches_monte_carlo():
     assert np.abs((out["phi_average"] - mc) / np.maximum(se, 1e-300)).max() <= 3.0
 
 
-# ---------------------------------------------------------------- off-resonant light shifts
-
-
-def test_stark_ratio_balanced_beams():
-    out = stark_phase_noise_ratio(2.0, 2.0, eta=0.1, Delta_R=100.0)
-    assert out["omega_s"] == 0.0
-    assert out["ratio"] == pytest.approx(1.0 / 0.1 ** 2, rel=1e-12)
-    corr = stark_phase_noise_ratio(2.0, 2.0, eta=0.1, Delta_R=100.0, correlated=True)
-    assert corr["ratio"] == 0.0
-
-
-def test_stark_ratio_formulas_and_sign():
-    g1, g2, eta = 1.0, 1.5, 0.2
-    out = stark_phase_noise_ratio(g1, g2, eta, Delta_R=50.0)
-    assert out["omega_s"] == pytest.approx(-(g2 ** 2 - g1 ** 2) / 50.0, rel=1e-12)
-    assert out["ratio"] == pytest.approx(
-        (g1 ** 4 + g2 ** 4) / (2.0 * eta ** 2 * g1 ** 2 * g2 ** 2), rel=1e-12)
-    corr = stark_phase_noise_ratio(g1, g2, eta, Delta_R=50.0, correlated=True)
-    assert corr["ratio"] == pytest.approx(
-        (g1 ** 2 - g2 ** 2) ** 2 / (2.0 * eta ** 2 * g1 ** 2 * g2 ** 2), rel=1e-12)
-    # correlated drift hurts less than independent drift unless the
-    # beams are strongly unbalanced
-    assert corr["ratio"] < out["ratio"]
-
-
-def test_stark_ratio_degenerate_and_validation():
-    out = stark_phase_noise_ratio(1.0, 0.0, eta=0.1, Delta_R=10.0)
-    assert out["ratio"] == math.inf
-    with pytest.raises(ModelInputError):
-        stark_phase_noise_ratio(1.0, 1.0, eta=0.1, Delta_R=0.0)
-    with pytest.raises(RangeError):
-        stark_phase_noise_ratio(1.0, 1.0, eta=0.0, Delta_R=10.0)
-
-
 # ---------------------------------------------------------------- neighbor leakage
 
 
@@ -678,47 +634,6 @@ def test_spectator_validation():
                           duration=1.0, tau_r=0.8)                   # ramps overlap
 
 
-# ---------------------------------------------------------------- drive-frequency modulation
-
-
-def test_modulation_trivial_and_bessel_weights():
-    out = bfield_modulation(0.0, 50.0, 1.0)
-    assert out["eta_m"] == 0.0
-    assert out["effective_Rabi_factor"] == pytest.approx(1.0, rel=1e-15)
-    out2 = bfield_modulation(25.0, 50.0, 1.0, k_max=4)
-    assert out2["eta_m"] == pytest.approx(0.5, rel=1e-15)
-    assert out2["effective_Rabi_factor"] == pytest.approx(0.938469807240813, abs=1e-12)
-    ref = jv(np.arange(5), 0.5)
-    assert np.abs(out2["sideband_weights"] - ref).max() <= 1e-14
-    with pytest.raises(RangeError):
-        bfield_modulation(25.0, 5.0, 1.0)      # modulation too slow vs drive
-    with pytest.raises(RangeError):
-        bfield_modulation(-1.0, 50.0, 1.0)
-    with pytest.raises(RangeError):
-        bfield_modulation(1.0, 0.0, 1.0)
-
-
-def test_modulation_effective_rate_against_ode():
-    # integrate the modulated two-level equations; the flop should run
-    # at J0(eta_m) times the bare rate over a few periods
-    beta0, wm, W = 25.0, 50.0, 1.0
-    out = bfield_modulation(beta0, wm, W)
-    eta_m = out["eta_m"]
-    jeff = out["effective_Rabi_factor"] * W
-
-    def rhs(t, y):
-        cu, cd = y
-        ph = np.exp(1j * (-eta_m * np.sin(wm * t)))
-        return [-1j * W * ph * cd, -1j * W * np.conj(ph) * cu]
-
-    t_end = 3.0 * math.pi / jeff
-    ts = np.linspace(0.0, t_end, 400)
-    sol = solve_ivp(rhs, (0.0, t_end), [0j, 1.0 + 0j], t_eval=ts,
-                    method="DOP853", rtol=1e-10, atol=1e-12)
-    p_down = np.abs(sol.y[1]) ** 2
-    assert np.abs(p_down - np.cos(jeff * ts) ** 2).max() <= 0.01
-
-
 # ---------------------------------------------------------------- coherence readout
 
 
@@ -757,40 +672,3 @@ def test_tomography_validation():
         coherence_tomography(QuantumState(amps, n_max), c)
     with pytest.raises(ModelInputError):
         coherence_tomography(np.zeros(14), c)
-
-
-# ---------------------------------------------------------------- spontaneous rates
-
-
-def test_radiative_rate_hyperfine_scale():
-    # ~10 GHz splitting with a Bohr-magneton moment: ~1e-12 per second
-    rate = radiative_decay_rate("magnetic_dipole", 2.0 * math.pi * 1e10)
-    assert rate == pytest.approx(1.0010947818019002e-12, rel=1e-12)
-    assert 1e-12 / 3.0 <= rate <= 3e-12
-
-
-def test_radiative_rate_optical_scale():
-    # ~1e15 Hz optical transition with an e*a0 moment: ~7.5e7 per second
-    rate = radiative_decay_rate("electric_dipole", 2.0 * math.pi * 1e15)
-    assert rate == pytest.approx(75197695.32119903, rel=1e-12)
-    assert abs(rate / 7.5e7 - 1.0) <= 0.2
-
-
-def test_radiative_rate_scalings_and_formula():
-    w = 2.0 * math.pi * 1e15
-    r1 = radiative_decay_rate("electric_dipole", w)
-    assert radiative_decay_rate("electric_dipole", 2.0 * w) / r1 == pytest.approx(8.0, rel=1e-12)
-    mu = 2.0 * const.e * const.value("Bohr radius")
-    r2 = radiative_decay_rate("electric_dipole", w, moment=mu)
-    assert r2 / r1 == pytest.approx(4.0, rel=1e-12)
-    # re-derive both formulas inline from scipy constants
-    mu_e = const.e * const.value("Bohr radius")
-    ref_e = w ** 3 * mu_e ** 2 / (3.0 * math.pi * const.epsilon_0 * const.hbar * const.c ** 3)
-    assert r1 == pytest.approx(ref_e, rel=1e-12)
-    mu_m = const.value("Bohr magneton")
-    ref_m = w ** 3 * mu_m ** 2 / (3.0 * math.pi * const.epsilon_0 * const.hbar * const.c ** 5)
-    assert radiative_decay_rate("magnetic_dipole", w) == pytest.approx(ref_m, rel=1e-12)
-    with pytest.raises(RangeError):
-        radiative_decay_rate("electric_dipole", 0.0)
-    with pytest.raises(ModelInputError):
-        radiative_decay_rate("quadrupole", w)

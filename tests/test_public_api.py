@@ -1,5 +1,6 @@
 """Every public function and class of ionsim has a caller outside the tests,
-and every defaulted parameter of one has a caller that sets it.
+and every defaulted parameter of one has a caller that sets it. No file of
+the package, the tests or the demos imports a name it never uses.
 
 The scan parses the package, the demos and the benchmark with ast. A
 public name counts as used where it is loaded as a bare name in the module
@@ -20,17 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ionsim"
 TREES = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
 
-# closed-form paper analytics that the tests check against published
-# numbers but no scenario runs yet; each one is to be exposed through
-# `ionsim run` or deleted, and then dropped from this list
-TEST_ONLY = {
-    "bfield_modulation", "cross_mode_growth", "exchange_time",
-    "frequency_sensitivities", "micromotion_suppression",
-    "radiative_decay_rate",
-    "ramsey_probability", "recoil_frequency", "shot_noise_floor",
-    "spontaneous_emission_ratio", "standing_wave_coefficients",
-    "stark_addressing_epsilon", "stark_phase_noise_ratio",
-}
+# the Ramsey fringe closed form, kept as the L = 1 reference for a GHZ
+# clock scenario; it leaves this list once that scenario reproduces it
+TEST_ONLY = {"ramsey_probability"}
 
 _REF = re.compile(r"^\w+:(\w+)$")      # perfbench's "module:function"
 _MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -209,3 +202,34 @@ def test_error_classes_are_pinned():
                         and any(getattr(b, "id", "").endswith(("Error", "Warning",
                                                                "Exception"))
                                 for b in node.bases)], path.name
+
+
+def _unused_imports(path) -> list:
+    """'file:line name' for each name an import binds that the file never
+    loads, skipping __future__ imports and lines marked '# noqa: F401'."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for a in node.names:
+            name = a.asname or a.name.split(".")[0]
+            if name not in loaded:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    found = []
+    for tree in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(tree.rglob("*.py")):
+            found += _unused_imports(path)
+    assert found == []

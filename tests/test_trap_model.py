@@ -22,12 +22,8 @@ from ionsim.trap_model import (
     chain_equilibrium,
     collision_rates,
     critical_anisotropy,
-    cross_mode_growth,
-    exchange_time,
-    frequency_sensitivities,
     mathieu_beta,
     mathieu_trajectory,
-    micromotion_suppression,
     patch_heating_time,
     resistive_heating_time,
     secular_frequencies,
@@ -335,50 +331,6 @@ def test_radial_bound_for_3um_spacing():
 
 
 # ---------------------------------------------------------------------------
-# sensitivities and micromotion
-
-
-def test_sensitivity_single_terms():
-    p = make_params()
-    assert frequency_sensitivities(p, dV0=1e-4)["radial"] == pytest.approx(1e-4)
-    assert frequency_sensitivities(p, dU0=2e-4)["axial"] == pytest.approx(1e-4)
-    assert frequency_sensitivities(p, dR=1e-5)["radial"] == pytest.approx(-2e-5)
-    assert frequency_sensitivities(p, dOmegaT=3e-5)["radial"] == pytest.approx(-3e-5)
-    with pytest.raises(RangeError):
-        frequency_sensitivities(p, dV0=0.2)
-
-
-def test_micromotion_zero_field():
-    p = make_params()
-    f = micromotion_suppression([0.0, 0.0, 0.0], p, [1e7, 0.0, 0.0])
-    assert f.phi_Omega == 0.0
-    assert f.j0_factor == 1.0
-
-
-def test_micromotion_small_angle_expansion():
-    p = make_params(q_x=0.2, nu_z=1e6)
-    mc = secular_frequencies(p)
-    # engineer a field that lands phi_Omega = 0.1 exactly
-    k_x = 2.0 * math.pi / 313e-9
-    dx_target = 0.1 / ((mc.q_x / 2.0) * k_x)
-    E_x = dx_target * p.mass * mc.omega_x**2 / p.charge
-    f = micromotion_suppression([E_x, 0.0, 0.0], p, [k_x, 0.0, 0.0])
-    assert f.phi_Omega == pytest.approx(0.1, rel=1e-12)
-    assert abs(f.j0_factor - (1.0 - (0.1 / 2.0) ** 2)) < 1e-5
-
-
-def test_micromotion_series_vs_bessel_small_phi():
-    p = make_params(q_x=0.2, nu_z=1e6)
-    mc = secular_frequencies(p)
-    k_x = 2.0 * math.pi / 313e-9
-    for phi in (0.001, 0.01, 0.049):
-        dx = phi / ((mc.q_x / 2.0) * k_x)
-        E_x = dx * p.mass * mc.omega_x**2 / p.charge
-        f = micromotion_suppression([E_x, 0.0], p, [k_x, 0.0])
-        assert abs(f.j0_factor - (1.0 - (phi / 2.0) ** 2)) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
 # heating estimators (regression values from the documented closed forms)
 
 
@@ -528,76 +480,3 @@ def test_zero_pressure_zero_rates():
     assert r.gamma_langevin == 0.0
     assert r.gamma_elastic == 0.0
     assert r.k_langevin > 0.0
-
-
-# ---------------------------------------------------------------------------
-# cross-mode growth
-
-
-def test_cross_mode_against_driven_ode():
-    w = TWO_PI * 11.2e6
-    G, Q = 1e12, 10e-9
-    B = E_C * G * Q * Q / M_BE
-
-    def rhs(t, y):
-        return [y[1], -w * w * y[0] + B * np.cos(w * t)]
-
-    # compare at instants where the resonant envelope is fully expressed
-    t_marks = (TWO_PI * np.arange(5, 25, 4) + math.pi / 2.0) / w
-    sol = solve_ivp(rhs, (0.0, t_marks[-1]), [0.0, 0.0], t_eval=t_marks,
-                    rtol=1e-10, atol=1e-30)
-    for tk, xk in zip(t_marks, sol.y[0]):
-        pred = cross_mode_growth(G, Q, Q, w, E_C, M_BE, tk)
-        assert abs(abs(xk) - pred) <= 1e-6 * pred
-
-
-def test_cross_mode_trivial_cases():
-    w = TWO_PI * 11.2e6
-    assert cross_mode_growth(0.0, 1e-8, 1e-8, w, E_C, M_BE, 1e-3) == 0.0
-    a1 = cross_mode_growth(1e12, 1e-8, 1e-8, w, E_C, M_BE, 1e-3)
-    a2 = cross_mode_growth(1e12, 1e-8, 1e-8, w, E_C, M_BE, 2e-3)
-    assert a2 == pytest.approx(2.0 * a1, rel=1e-12)
-    with pytest.raises(RangeError):
-        cross_mode_growth(1e12, 1e-8, 1e-8, w, E_C, M_BE, -1.0)
-
-
-def test_cross_mode_reference_scenario():
-    # gradient needed to drive 10 nm in 1 ms at an 11.2 MHz mode with two
-    # 10 nm spectators; the closed form gives 1.31e12 V/m^3, which the
-    # commonly quoted round figure 1e12 states to one significant digit
-    w = TWO_PI * 11.2e6
-    target, Q, t = 10e-9, 10e-9, 1e-3
-    G_req = target * 2.0 * M_BE * w / (E_C * t * Q * Q)
-    assert cross_mode_growth(G_req, Q, Q, w, E_C, M_BE, t) == pytest.approx(
-        target, rel=1e-12
-    )
-    assert G_req == pytest.approx(1.313e12, rel=1e-3)
-    assert 1.0 / 1.35 < G_req / 1.0e12 < 1.35
-
-
-# ---------------------------------------------------------------------------
-# exchange time
-
-
-def test_exchange_time_ion_pair_reference():
-    m_p = 1.00728 * U_KG
-    t = exchange_time(E_C, E_C, m_p, M_BE, 0.5e-3, TWO_PI * 1e6)
-    assert t == pytest.approx(26.74e-3, rel=1e-3)
-    assert abs(t / 27e-3 - 1.0) < 0.10
-
-
-def test_exchange_time_charged_resonator_reference():
-    # metallized sphere, radius 0.5 um, charged to 1000 V, against a 9 u
-    # ion 5 um away with both oscillators at 70 MHz
-    q1 = 4.0 * math.pi * epsilon_0 * 0.5e-6 * 1000.0
-    t = exchange_time(q1, E_C, 2.4e-15, M_BE, 5e-6, TWO_PI * 70e6)
-    assert t == pytest.approx(6.455e-6, rel=1e-3)
-    assert abs(t / 6.4e-6 - 1.0) < 0.15
-
-
-def test_exchange_time_cubes_with_distance():
-    t1 = exchange_time(E_C, E_C, M_BE, M_BE, 1e-4, TWO_PI * 1e6)
-    t2 = exchange_time(E_C, E_C, M_BE, M_BE, 2e-4, TWO_PI * 1e6)
-    assert t2 == pytest.approx(8.0 * t1, rel=1e-12)
-    with pytest.raises(RangeError):
-        exchange_time(E_C, E_C, M_BE, M_BE, -1.0, TWO_PI * 1e6)
