@@ -2,22 +2,22 @@
 
 ``ionsim run <config>`` loads a JSON experiment file (or the name of a
 bundled scenario), dispatches to the library, and writes a CSV table, an
-optional SVG plot per ``plot`` block, and a manifest recording inputs,
-versions, and pass/fail against the file's declared expectations.
-``ionsim list`` enumerates the bundled scenarios. Each kind's schema
-declares every key, unit and integer bound, and which choice of its op,
-type, strategy or mode reads a key; its handler only maps the validated
-params to library calls and the results to a table of named columns and
-metrics.
+optional SVG plot per ``plot`` block, and a manifest: the run record of
+inputs, versions, outputs, metrics and pass/fail against the file's
+declared expectations, as strict JSON. ``--json`` prints the same record
+to stdout. ``ionsim list`` enumerates the bundled scenarios. Each kind's
+schema declares every key, unit and integer bound, and which choice of
+its op, type, strategy or mode reads a key; its handler only maps the
+validated params to library calls and the results to a table of named
+columns and metrics.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 physics-model error raised by the library or failed
 arithmetic (overflow, division by zero, a math domain error). A failed
 expectation is recorded in the manifest but is not an error, and a
-non-finite metric fails every expectation on it (``--json`` writes it as
-null, so the summary stays strict JSON); pass
---strict to escalate model warnings (truncation, regime stretch) to
-exit 3.
+non-finite metric fails every expectation on it (the record writes it as
+null, so it stays strict JSON); pass --strict to escalate model warnings
+(truncation, regime stretch) to exit 3.
 
 Unit conventions in config files: keys holding oscillation or drive
 frequencies (omega_*, Omega*, drive_frequency, slow_rms, gamma_rad) are
@@ -300,7 +300,9 @@ _GATE_SCHEMA = {
     "zeta_rms": Field("number", default=0.01),
     "phi_rms": Field("number", default=0.0),
     "systematic": Field("bool", default=False),
-    # one batch: (trials, 9 pairs, 2, 2) blocks at the library's n_max = 8
+    # one batch at the library's n_max = 8, the ideal state as row 0:
+    # (trials + 1) x 18 complex amplitudes (36 numbers a row) and
+    # (trials + 1) x 9 entries per pair array
     "trials": Field("int", default=200, lo=1, hi=_MAX_CELLS // 36),
 }
 
@@ -792,40 +794,10 @@ def evaluate_expectations(expect: list, metrics: dict) -> list[dict]:
     return out
 
 
-def render_manifest(name: str, origin: str, sha: str,
-                    cfg: ExperimentConfig, seed: int, strict: bool,
-                    outputs: list[str], checks: list[dict],
-                    metrics: dict) -> str:
-    failed = sum(1 for c in checks if c["status"] == "FAIL")
-    lines = [
-        "ionsim run manifest",
-        f"version: ionsim {__version__}",
-        f"python: {sys.version.split()[0]}",
-        f"numpy: {np.__version__}",
-        f"scipy: {__import__('scipy').__version__}",
-        f"config: {origin}",
-        f"config_sha256: {sha}",
-        f"scenario: {name}",
-        f"kind: {cfg.kind}",
-        f"seed: {seed}",
-        f"strict: {strict}",
-        "outputs:",
-    ]
-    lines.extend(f"  {o}" for o in outputs)
-    lines.append("metrics:")
-    lines.extend(f"  {k} = {_cell(v)}" for k, v in metrics.items())
-    lines.append("expectations:")
-    if checks:
-        lines.extend(f"  {c['status']} {c['metric']}: {c['detail']}"
-                     for c in checks)
-        lines.append(
-            f"result: {'PASS' if failed == 0 else 'FAIL'} "
-            f"({len(checks) - failed}/{len(checks)} expectations)"
-        )
-    else:
-        lines.append("  (none declared)")
-        lines.append("result: PASS (no expectations declared)")
-    return "\n".join(lines) + "\n"
+def render_manifest(record: dict) -> str:
+    """The run record as strict JSON: the manifest file's text, and what
+    ``--json`` prints."""
+    return json.dumps(record, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _plot_files(name: str, cfg: ExperimentConfig, result: RunResult) -> list:
@@ -920,12 +892,29 @@ def _cmd_run(args) -> int:
     files = [(os.path.join(out_dir, fname), body) for fname, body in
              [(f"{name}.csv", render_csv(name, cfg, seed, result)),
               *_plot_files(name, cfg, result)]]
-    outputs = [path for path, _ in files]
+    manifest_path = os.path.join(out_dir, f"{name}.manifest.json")
+    outputs = [path for path, _ in files] + [manifest_path]
     checks = evaluate_expectations(cfg.expect, result.metrics)
-    manifest_path = os.path.join(out_dir, f"{name}.manifest.txt")
-    files.append((manifest_path, render_manifest(
-        name, origin, sha, cfg, seed, strict, outputs, checks, result.metrics)))
-    outputs.append(manifest_path)
+    failed = sum(c["status"] == "FAIL" for c in checks)
+    record = {
+        "version": __version__,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": __import__("scipy").__version__,
+        "config": origin,
+        "config_sha256": sha,
+        "scenario": name,
+        "kind": cfg.kind,
+        "seed": seed,
+        "strict": strict,
+        "outputs": outputs,
+        "metrics": {k: float(v) if math.isfinite(v) else None
+                    for k, v in result.metrics.items()},
+        "expectations": checks,
+        "result": "PASS" if failed == 0 else "FAIL",
+    }
+    manifest = render_manifest(record)
+    files.append((manifest_path, manifest))
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
@@ -937,18 +926,8 @@ def _cmd_run(args) -> int:
         except OSError as err:
             raise ConfigError(f"{path}: cannot write output ({err})") from err
 
-    failed = sum(1 for c in checks if c["status"] == "FAIL")
     if args.json:
-        print(json.dumps({
-            "scenario": name,
-            "kind": cfg.kind,
-            "seed": seed,
-            "metrics": {k: float(v) if math.isfinite(v) else None
-                        for k, v in result.metrics.items()},
-            "expectations": checks,
-            "outputs": outputs,
-            "result": "PASS" if failed == 0 else "FAIL",
-        }, indent=1, sort_keys=True, allow_nan=False))
+        print(manifest, end="")
     else:
         print(f"scenario {name} (kind {cfg.kind}, seed {seed})")
         for o in outputs:
@@ -956,7 +935,7 @@ def _cmd_run(args) -> int:
         for c in checks:
             print(f"{c['status']} {c['metric']}: {c['detail']}")
         if checks:
-            print(f"result: {'PASS' if failed == 0 else 'FAIL'} "
+            print(f"result: {record['result']} "
                   f"({len(checks) - failed}/{len(checks)} expectations)")
     return 0
 
@@ -989,7 +968,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionsim",
         description="Trapped-ion coherent-control simulator: run experiment "
-                    "configs, emit CSV/SVG/manifest outputs.",
+                    "configs, emit CSV/SVG outputs and a strict-JSON run "
+                    "record (the manifest, which --json prints).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one experiment config")
@@ -1001,7 +981,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--json", action="store_true",
-                       help="print a JSON run summary")
+                       help="print the run record (the manifest) to stdout")
     list_p = sub.add_parser("list", help="list bundled scenarios")
     list_p.add_argument("--json", action="store_true",
                         help="machine-readable listing")

@@ -13,13 +13,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ionsim import cli
@@ -364,13 +365,17 @@ def test_json_non_finite_metric_is_null_and_fails(tmp_path, capsys):
     body["params"]["Omega_prime"] = "0 Hz"
     body["expect"] = [{"metric": "suppression_ratio", "min": 20.0}]
     cfg = write_cfg(tmp_path, body)
-    rc = cli.main(["run", cfg, "--json", "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = cli.main(["run", cfg, "--json", "--out", str(out)])
     assert rc == 0
 
     def reject(token):
         raise AssertionError(f"non-standard JSON token {token}")
 
-    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    printed = capsys.readouterr().out
+    # --json prints the manifest itself
+    assert (out / "cfg.manifest.json").read_bytes() == printed.encode("utf-8")
+    doc = json.loads(printed, parse_constant=reject)
     assert doc["metrics"]["suppression_ratio"] is None
     assert doc["expectations"][0]["status"] == "FAIL"
     assert "not finite" in doc["expectations"][0]["detail"]
@@ -848,10 +853,11 @@ def test_run_writes_csv_svg_manifest(tmp_path, capsys):
     assert header.startswith("n,")
     svg = (out / "cfg.svg").read_text()
     assert svg.startswith("<svg ") and "polyline" in svg
-    man = (out / "cfg.manifest.txt").read_text()
-    assert "PASS blue0_over_carrier0" in man
-    assert "result: PASS (1/1 expectations)" in man
-    assert "config_sha256:" in man
+    man = json.loads((out / "cfg.manifest.json").read_text())
+    assert [(c["status"], c["metric"]) for c in man["expectations"]] == \
+        [("PASS", "blue0_over_carrier0")]
+    assert man["result"] == "PASS"
+    assert re.fullmatch(r"[0-9a-f]{64}", man["config_sha256"])
 
 
 def test_output_key_renames_artifacts(tmp_path):
@@ -862,7 +868,7 @@ def test_output_key_renames_artifacts(tmp_path):
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
     assert (out / "ladder_run.csv").exists()
     assert (out / "ladder_run.svg").exists()
-    assert (out / "ladder_run.manifest.txt").exists()
+    assert (out / "ladder_run.manifest.json").exists()
 
 
 @pytest.mark.parametrize("change,key", [
@@ -890,9 +896,10 @@ def test_failed_expectation_recorded_but_exit_0(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["run", cfg, "--out", str(out)])
     assert rc == 0
-    man = (out / "cfg.manifest.txt").read_text()
-    assert "FAIL blue0_over_carrier0" in man
-    assert "result: FAIL" in man
+    man = json.loads((out / "cfg.manifest.json").read_text())
+    assert [(c["status"], c["metric"]) for c in man["expectations"]] == \
+        [("FAIL", "blue0_over_carrier0")]
+    assert man["result"] == "FAIL"
 
 
 def test_missing_metric_expectation_fails(tmp_path):
@@ -901,7 +908,8 @@ def test_missing_metric_expectation_fails(tmp_path):
     cfg = write_cfg(tmp_path, body)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
-    assert "metric not produced" in (out / "cfg.manifest.txt").read_text()
+    man = json.loads((out / "cfg.manifest.json").read_text())
+    assert "metric not produced" in man["expectations"][0]["detail"]
 
 
 def test_plot_against_missing_column_exits_2(tmp_path, capsys):
@@ -1045,16 +1053,35 @@ NOISY = {
 }
 
 
-def test_same_seed_byte_identical_csv(tmp_path):
-    cfg = write_cfg(tmp_path, NOISY)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", cfg, "--out", str(a)]) == 0
-    assert cli.main(["run", cfg, "--out", str(b)]) == 0
-    assert (a / "cfg.csv").read_bytes() == (b / "cfg.csv").read_bytes()
-    # manifests differ only in the output paths
-    strip = lambda t: [ln for ln in t.splitlines() if "/" not in ln]
-    assert strip((a / "cfg.manifest.txt").read_text()) == \
-        strip((b / "cfg.manifest.txt").read_text())
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_same_seed_byte_identical_csv(seed, other):
+    # a seed fixes every CSV byte, and the run record up to where it was
+    # written; another seed draws other numbers
+    assume(seed != other)
+
+    def run(name, s, out):
+        assert cli.main(["run", name, "--seed", str(s), "--out", out]) == 0
+        with open(os.path.join(out, f"{name}.csv"), "rb") as fh:
+            csv = fh.read()
+        with open(os.path.join(out, f"{name}.manifest.json"), encoding="utf-8") as fh:
+            return csv, _strict_json(fh.read())
+
+    def drop_seed(csv):
+        return [ln for ln in csv.splitlines() if not ln.startswith(b"# seed:")]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("cool.sideband", "gate.error_budget"):
+            csv_a, rec_a = run(name, seed, os.path.join(tmp, "a"))
+            csv_b, rec_b = run(name, seed, os.path.join(tmp, "b"))
+            csv_c, _ = run(name, other, os.path.join(tmp, "c"))
+            assert csv_a == csv_b
+            outs_a, outs_b = rec_a.pop("outputs"), rec_b.pop("outputs")
+            assert rec_a == rec_b
+            assert list(map(os.path.basename, outs_a)) == \
+                list(map(os.path.basename, outs_b))
+            # beyond its own "# seed:" line, the other seed's CSV differs
+            assert drop_seed(csv_c) != drop_seed(csv_a)
 
 
 def test_main_reuses_one_parser_and_keeps_no_state(tmp_path, capsys,
@@ -1076,8 +1103,8 @@ def test_main_reuses_one_parser_and_keeps_no_state(tmp_path, capsys,
     own_seed = _bundled(name).get("seed", 0)
     assert own_seed != 7
     assert json.loads(capsys.readouterr().out)["seed"] == own_seed
-    man = (b / f"{name}.manifest.txt").read_text().splitlines()
-    assert f"seed: {own_seed}" in man and "strict: False" in man
+    man = json.loads((b / f"{name}.manifest.json").read_text())
+    assert man["seed"] == own_seed and man["strict"] is False
     assert built == []
 
 
@@ -1087,7 +1114,7 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert cli.main(["run", cfg, "--out", str(a)]) == 0
     assert cli.main(["run", cfg, "--seed", "99", "--out", str(b)]) == 0
     assert (a / "cfg.csv").read_bytes() != (b / "cfg.csv").read_bytes()
-    assert "seed: 99" in (b / "cfg.manifest.txt").read_text()
+    assert json.loads((b / "cfg.manifest.json").read_text())["seed"] == 99
 
 
 # ---------------------------------------------------------------------------
@@ -1129,9 +1156,13 @@ def test_bundled_scenario_passes(name, tmp_path, recwarn):
     out = tmp_path / name
     rc = cli.main(["run", name, "--out", str(out)])
     assert rc == 0
-    man = (out / f"{name}.manifest.txt").read_text()
-    assert "result: PASS" in man
-    assert "FAIL" not in man
+    man = _strict_json((out / f"{name}.manifest.json").read_text())
+    assert man["result"] == "PASS"
+    assert all(c["status"] == "PASS" for c in man["expectations"])
+    # the run writes exactly the files its record lists, the CSV first
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted(os.path.basename(o) for o in man["outputs"])
+    assert man["outputs"][0] == str(out / f"{name}.csv")
     # the golden ledger: every metric, meta line and cell of the bundled run
     assert name in GOLDEN, "scenario missing from tests/golden/scenarios.json"
     csv = parse_csv((out / f"{name}.csv").read_text())

@@ -290,17 +290,3 @@ def test_mode_ensemble_validation():
         debye_waller_stats(
             ModeEnsemble(etas=np.array([0.1]), nbars=np.array([0.1]))
         ).prob_within(-1.0)
-
-
-# ------------------------------------------------------- standing waves
-
-
-def test_sw_sine_node_kills_even_transitions():
-    # field ~ sin: only odd Fock-level changes couple at the node
-    a_op = lowering(40)
-    X = 0.3 * (a_op + a_op.T)
-    S = (expm(1j * X) - expm(-1j * X)) / 2j
-    for n in range(7):
-        for m in range(7):
-            if (n - m) % 2 == 0:
-                assert abs(S[n, m]) < 1e-12
