@@ -20,13 +20,15 @@ Frequencies declared angular in a schema are multiplied by 2*pi on the
 way in, so handlers always see rad/s; rate-type fields (unit Hz, not
 angular) pass through as plain 1/s. Numbers must be finite: NaN,
 Infinity and values that overflow (such as "1e400 MHz") are rejected.
-Integers must lie within their field's lo..hi bounds, and a schema sets
-hi so that no array the field sizes can outgrow memory. A key that only
-some choices of a string field read is rejected under the others. The
-output names (output, plot[i].file) must be bare file names, so that
-every output lands in the run's output directory. Every validation
-failure raises ConfigError with the dotted path of the offending key in
-the message.
+Every number, list entries included, must lie within its field's lo..hi
+bounds, compared in SI after the angular 2*pi: the physical range of
+what a model divides by, takes a root or log of, or exponentiates, and
+for an integer a hi so that no array it sizes can outgrow memory. A key
+that only some choices of a string field read is rejected under the
+others. The output names (output, plot[i].file) must be bare file
+names, so that every output lands in the run's output directory. Every
+validation failure raises ConfigError with the dotted path of the
+offending key in the message.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class Field:
     default: Any = None
     choices: tuple | dict = ()   # allowed strings, or a dict of each one's own keys
     schema: dict | None = None   # of a block or block_list; None takes any object
-    lo: int | None = None        # inclusive bounds for kinds int and int_list
-    hi: int | None = None
+    lo: float | None = None      # inclusive bounds of every numeric kind, in SI
+    hi: float | None = None
 
 
 def _finite(x: float, v: Any, path: str) -> float:
@@ -135,24 +137,30 @@ def _finite(x: float, v: Any, path: str) -> float:
     return x
 
 
-def _want_number(v: Any, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a plain number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:
-        x = math.inf
-    return _finite(x, v, path)
-
-
-def _want_int(v: Any, path: str, lo: int | None = None, hi: int | None = None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{path}: must be >= {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}: must be <= {hi}")
-    return v
+def _scalar(v: Any, f: Field, path: str) -> int | float:
+    """One value of numeric field f (or one entry of its list), in SI and
+    within f.lo..f.hi."""
+    if f.kind.startswith("int"):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{path}: expected an integer, got {v!r}")
+        x = v
+    elif f.kind == "quantity":
+        x = parse_quantity(v, f.unit, path)
+        x = _finite(x * (2.0 * math.pi), v, path) if f.angular else x
+    else:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{path}: expected a plain number, got {v!r}")
+        try:
+            x = float(v)
+        except OverflowError:       # an integer too long for a float
+            x = math.inf
+        x = _finite(x, v, path)
+    unit = " rad/s" if f.angular else f" {f.unit}" if f.unit else ""
+    if f.lo is not None and x < f.lo:
+        raise ConfigError(f"{path}: must be >= {f.lo}{unit}")
+    if f.hi is not None and x > f.hi:
+        raise ConfigError(f"{path}: must be <= {f.hi}{unit}")
+    return x
 
 
 def validate_block(block: Any, schema: dict | None, path: str) -> dict:
@@ -193,13 +201,13 @@ def validate_block(block: Any, schema: dict | None, path: str) -> dict:
             out[key] = f.default
             continue
         v = block[key]
-        if f.kind == "quantity":
-            x = parse_quantity(v, f.unit, here)
-            out[key] = _finite(x * (2.0 * math.pi), v, here) if f.angular else x
-        elif f.kind == "number":
-            out[key] = _want_number(v, here)
-        elif f.kind == "int":
-            out[key] = _want_int(v, here, f.lo, f.hi)
+        if f.kind in ("quantity", "number", "int"):
+            out[key] = _scalar(v, f, here)
+        elif f.kind in ("number_list", "int_list"):
+            if not isinstance(v, list) or not v:
+                noun = "integers" if f.kind == "int_list" else "numbers"
+                raise ConfigError(f"{here}: expected a nonempty list of {noun}")
+            out[key] = [_scalar(x, f, f"{here}[{i}]") for i, x in enumerate(v)]
         elif f.kind == "str":
             if not isinstance(v, str):
                 raise ConfigError(f"{here}: expected a string, got {v!r}")
@@ -212,15 +220,6 @@ def validate_block(block: Any, schema: dict | None, path: str) -> dict:
             if not isinstance(v, bool):
                 raise ConfigError(f"{here}: expected true/false, got {v!r}")
             out[key] = v
-        elif f.kind == "number_list":
-            if not isinstance(v, list) or not v:
-                raise ConfigError(f"{here}: expected a nonempty list of numbers")
-            out[key] = [_want_number(x, f"{here}[{i}]") for i, x in enumerate(v)]
-        elif f.kind == "int_list":
-            if not isinstance(v, list) or not v:
-                raise ConfigError(f"{here}: expected a nonempty list of integers")
-            out[key] = [_want_int(x, f"{here}[{i}]", f.lo, f.hi)
-                        for i, x in enumerate(v)]
         elif f.kind == "str_list":
             v = [v] if isinstance(v, str) else v
             if not (isinstance(v, list) and v and all(isinstance(s, str) for s in v)):

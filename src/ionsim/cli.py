@@ -6,10 +6,10 @@ optional SVG plot per ``plot`` block, and a manifest: the run record of
 inputs, versions, outputs, metrics and pass/fail against the file's
 declared expectations, as strict JSON. ``--json`` prints the same record
 to stdout. ``ionsim list`` enumerates the bundled scenarios. Each kind's
-schema declares every key, unit and integer bound, and which choice of
-its op, type, strategy or mode reads a key; its handler only maps the
-validated params to library calls and the results to a table of named
-columns and metrics.
+schema declares every key with its unit and its physical or memory
+range, and which choice of its op, type, strategy or mode reads a key;
+its handler only maps the validated params to library calls and the
+results to a table of named columns and metrics.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 physics-model error raised by the library or failed
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
 import numpy as np
+from scipy.constants import atomic_mass, elementary_charge
 
 from . import __version__
 from ._config import ExperimentConfig, Field, parse_config_text, validate_block
@@ -98,6 +99,17 @@ _MAX_CELLS = 2**22
 # 499 miss, and from 500 on nearly all do.
 _MAX_CHAIN = 450
 
+# Physical ranges, in SI, shared by the schemas below. An input that must
+# be positive starts at the smallest value the model can mean.
+_MASS = {"lo": atomic_mass, "hi": 1e12 * atomic_mass}    # 1 u to a charged microsphere
+_CHARGE = {"lo": elementary_charge, "hi": 1e6 * elementary_charge}
+_LENGTH = {"lo": 1e-10, "hi": 1.0}                       # an atom's size to 1 m
+_ETA = {"lo": 0.0, "hi": 10.0}          # beyond, exp(-eta^2/2) leaves no coupling
+_DURATION = {"lo": 1e-12}                # 1 ps
+# a trap, drive, Rabi or modulation frequency: cyclic 1 Hz to 1 THz in the config
+_FREQUENCY = Field("quantity", unit="Hz", angular=True, required=True,
+                   lo=TWO_PI, hi=TWO_PI * 1e12)
+
 
 @dataclass
 class RunResult:
@@ -123,12 +135,6 @@ def _require(params: dict, keys, op: str) -> None:
             raise ConfigError(f"params.{k}: required for op '{op}'")
 
 
-def _require_positive(block: dict, keys, path: str) -> None:
-    for k in keys:
-        if block[k] is not None and block[k] <= 0:
-            raise ConfigError(f"{path}.{k}: must be > 0")
-
-
 def _diag_density(init: dict) -> DensityMatrix:
     n_max = init["n_max"]
     if init["type"] == "thermal":
@@ -146,27 +152,21 @@ def _diag_density(init: dict) -> DensityMatrix:
 
 
 _TAU_SCHEMA = {
-    "stop": Field("quantity", unit="s", required=True),
+    "stop": Field("quantity", unit="s", required=True, **_DURATION),
     # tomography's inversion basis is points x (n_cut + 1): each side gets the root
     "points": Field("int", default=600, lo=2, hi=math.isqrt(_MAX_CELLS)),
 }
 
 
-def _tau_grid(block: dict, path: str) -> np.ndarray:
-    if block["stop"] <= 0:
-        raise ConfigError(f"{path}.stop: must be > 0")
-    return np.linspace(0.0, block["stop"], block["points"])
-
-
 _TRAP_SCHEMA = {
-    "V0": Field("quantity", unit="V", required=True),
-    "U0": Field("quantity", unit="V", required=True),
+    "V0": Field("quantity", unit="V", required=True, lo=0.0),
+    "U0": Field("quantity", unit="V", required=True, lo=0.0),
     "Ur": Field("quantity", unit="V", default=0.0),
-    "drive_frequency": Field("quantity", unit="Hz", angular=True, required=True),
-    "R": Field("quantity", unit="m", required=True),
-    "kappa": Field("number", required=True),        # endcap geometry, 1/m^2
-    "charge": Field("quantity", unit="C", required=True),
-    "mass": Field("quantity", unit="kg", required=True),
+    "drive_frequency": _FREQUENCY,
+    "R": Field("quantity", unit="m", required=True, **_LENGTH),
+    "kappa": Field("number", required=True, lo=0.0),    # endcap geometry, 1/m^2
+    "charge": Field("quantity", unit="C", required=True, **_CHARGE),
+    "mass": Field("quantity", unit="kg", required=True, **_MASS),
     "geometry_factor": Field("number", default=1.0),
     "trajectory": Field("block", schema={
         "amplitude": Field("quantity", unit="m", required=True),
@@ -176,7 +176,7 @@ _TRAP_SCHEMA = {
     }),
     "chain": Field("block", schema={
         "L": Field("int", required=True, lo=2, hi=_MAX_CHAIN),
-        "s_c": Field("quantity", unit="m", required=True),
+        "s_c": Field("quantity", unit="m", required=True, **_LENGTH),
     }),
 }
 
@@ -214,9 +214,9 @@ def _run_trap(p: dict, seed: int) -> RunResult:
 
 _MODES_SCHEMA = {
     "L_values": Field("int_list", required=True, lo=1, hi=_MAX_CHAIN),
-    "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
-    "charge": Field("quantity", unit="C", required=True),
-    "mass": Field("quantity", unit="kg", required=True),
+    "omega_z": _FREQUENCY,
+    "charge": Field("quantity", unit="C", required=True, **_CHARGE),
+    "mass": Field("quantity", unit="kg", required=True, **_MASS),
 }
 
 
@@ -244,11 +244,11 @@ def _run_modes(p: dict, seed: int) -> RunResult:
 _RABI_SCHEMA = {
     "op": Field("str", required=True, choices={
         "ladder": ("n_top",), "decay": ("populations", "gamma0", "tau")}),
-    "Omega": Field("quantity", unit="Hz", angular=True, required=True),
-    "eta": Field("number", required=True),
+    "Omega": _FREQUENCY,                # both ops drive the ion
+    "eta": Field("number", required=True, **_ETA),
     "n_top": Field("int", default=10, lo=0, hi=_MAX_CELLS // 4 - 1),
-    "populations": Field("number_list", required=True),
-    "gamma0": Field("quantity", unit="Hz", required=True),   # base decay rate, 1/s
+    "populations": Field("number_list", required=True, lo=0.0, hi=1.0),
+    "gamma0": Field("quantity", unit="Hz", required=True, lo=0.0),   # decay rate, 1/s
     "tau": Field("block", required=True, schema=_TAU_SCHEMA),
 }
 
@@ -256,8 +256,6 @@ _RABI_SCHEMA = {
 def _run_rabi(p: dict, seed: int) -> RunResult:
     c = CouplingParams(Omega=p["Omega"], eta=p["eta"])
     if p["op"] == "ladder":
-        if p["Omega"] <= 0:
-            raise ConfigError("params.Omega: must be > 0 for op 'ladder'")
         count = p["n_top"] + 1
         carrier = np.abs(ladder(0, count, c)) / TWO_PI
         blue = np.abs(ladder(1, count, c)) / TWO_PI   # n -> n+1
@@ -270,7 +268,7 @@ def _run_rabi(p: dict, seed: int) -> RunResult:
             "blue0_over_carrier0": float(blue[0] / carrier[0]),
         }
         return RunResult(table, metrics)
-    tau = _tau_grid(p["tau"], "params.tau")
+    tau = np.linspace(0.0, p["tau"]["stop"], p["tau"]["points"])
     sig = rabi_decay_signal(p["populations"], p["gamma0"], c, tau)
     metrics = {
         "P_down_t0": float(sig.P_down[0]),
@@ -287,22 +285,22 @@ _GATE_SCHEMA = {
         "entangle": ("L",),
         "noisy_sequence": ("M_values", "theta", "zeta_rms", "phi_rms",
                            "systematic", "trials")}),
-    "k": Field("int", default=0),
-    "m": Field("int", default=1),
-    "eta": Field("number"),              # default: solved magic value
+    "k": Field("int", default=0, lo=0),
+    "m": Field("int", default=1, lo=1),
+    "eta": Field("number", **_ETA),      # default: solved magic value
     "phi": Field("number", default=0.0),
-    "aux_eta": Field("number", default=0.2),
+    "aux_eta": Field("number", default=0.2, **_ETA),
     "phi_a": Field("number", default=0.0),
     # register amplitudes: 2**L rows
     "L": Field("int", default=2, lo=2, hi=DEFAULT_REGISTER_CAP),
     "M_values": Field("int_list", default=(2, 4, 8, 16), lo=1, hi=_MAX_CELLS),
     "theta": Field("number", default=math.pi / 2),
-    "zeta_rms": Field("number", default=0.01),
-    "phi_rms": Field("number", default=0.0),
+    "zeta_rms": Field("number", default=0.01, lo=0.0),
+    "phi_rms": Field("number", default=0.0, lo=0.0),
     "systematic": Field("bool", default=False),
-    # one batch at the library's n_max = 8, the ideal state as row 0:
-    # (trials + 1) x 18 complex amplitudes (36 numbers a row) and
-    # (trials + 1) x 9 entries per pair array
+    # one batch at n_max = 2, the ideal state as row 0: (trials + 1) x 6
+    # complex amplitudes (12 numbers a row); the cap, sized for 36 numbers a
+    # row at n_max = 8, is kept so that the set of accepted configs holds
     "trials": Field("int", default=200, lo=1, hi=_MAX_CELLS // 36),
 }
 
@@ -345,7 +343,8 @@ def _run_gate(p: dict, seed: int) -> RunResult:
         return RunResult(table, metrics)
     # noisy_sequence: one sweep over M_top pulses reads every M on the way.
     # Its largest array holds the normal draws, trials x M_top for each
-    # random error (area, phase); everything else is one trial batch.
+    # random error (area, phase); everything else is one trial batch. The
+    # carrier at eta = 0 stays in n = 0, below the guard's top two levels.
     M_top = max(p["M_values"])
     if M_top * p["trials"] > _MAX_CELLS:
         raise ConfigError(f"params.trials: must be <= {_MAX_CELLS // M_top} "
@@ -354,7 +353,7 @@ def _run_gate(p: dict, seed: int) -> RunResult:
     model = {"zeta_rms": p["zeta_rms"], "phi_rms": p["phi_rms"],
              "systematic": p["systematic"]}
     sweep = noisy_sequence_fidelity([base] * M_top, model, trials=p["trials"],
-                                    base_seed=seed, lengths=p["M_values"])
+                                    base_seed=seed, lengths=p["M_values"], n_max=2)
     F = np.array([r["F_mean"] for r in sweep])
     infid = 1.0 - F
     coeff = [r["quadratic_fit"]["coefficient"] for r in sweep]
@@ -372,23 +371,23 @@ def _run_gate(p: dict, seed: int) -> RunResult:
 _INITIAL_SCHEMA = {
     "type": Field("str", required=True,
                   choices={"thermal": ("nbar",), "fock": ("n",)}),
-    "nbar": Field("number", required=True),
+    "nbar": Field("number", required=True, lo=0.0),
     "n": Field("int", default=0, lo=0),
     # (n_max + 1) x (n_max + 1) density matrix
     "n_max": Field("int", required=True, lo=1, hi=math.isqrt(_MAX_CELLS) - 1),
 }
 
 _COOL_SCHEMA = {
-    "eta": Field("number", required=True),
-    "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
-    "omega_R": Field("quantity", unit="Hz", angular=True, required=True),
-    "gamma_rad": Field("quantity", unit="Hz", angular=True, required=True),
+    "eta": Field("number", required=True, **_ETA),
+    "omega_z": _FREQUENCY,
+    "omega_R": Field("quantity", unit="Hz", angular=True, required=True, lo=0.0),
+    "gamma_rad": Field("quantity", unit="Hz", angular=True, required=True, lo=0.0),
     "strategy": Field("str", default="randomized", choices={
         "fixed": ("pulse_area",), "randomized": (), "schedule": ("schedule",)}),
-    "cycles": Field("int", default=50, hi=_MAX_CELLS // 3 - 1),
+    "cycles": Field("int", default=50, lo=1, hi=_MAX_CELLS // 3 - 1),
     "pulse_area": Field("number"),
     "schedule": Field("number_list", required=True),
-    "scatters_per_cycle": Field("int", default=2, hi=_MAX_CELLS - 1),
+    "scatters_per_cycle": Field("int", default=2, lo=0, hi=_MAX_CELLS - 1),
     "initial": Field("block", required=True, schema=_INITIAL_SCHEMA),
 }
 
@@ -418,42 +417,42 @@ _HEAT_SCHEMA = {
         "master_equation": ("gamma", "nbar", "initial", "t_end", "points"),
         "estimators": ("mass", "charge", "resistive", "stray_field", "patch",
                        "collisions")}),
-    "gamma": Field("quantity", unit="Hz", required=True),   # relaxation rate, 1/s
-    "nbar": Field("number", required=True),
+    "gamma": Field("quantity", unit="Hz", required=True, lo=0.0, hi=1e9),   # 1/s, to 1/ns
+    "nbar": Field("number", required=True, lo=0.0, hi=1e9),     # 300 K at 6 kHz
     "initial": Field("block", required=True, schema=_INITIAL_SCHEMA),
-    "t_end": Field("quantity", unit="s", required=True),
+    "t_end": Field("quantity", unit="s", required=True, lo=0.0, hi=1e9),
     "points": Field("int", default=60, lo=2, hi=_MAX_CELLS // 5),
     # ion properties shared by the estimator blocks
-    "mass": Field("quantity", unit="kg"),
-    "charge": Field("quantity", unit="C"),
+    "mass": Field("quantity", unit="kg", **_MASS),
+    "charge": Field("quantity", unit="C", **_CHARGE),
     "resistive": Field("block", schema={
-        "r": Field("quantity", unit="Ohm", required=True),
-        "T": Field("quantity", unit="K", required=True),
-        "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
-        "ell_L": Field("number"),                   # equivalent inductance, H
-        "d": Field("quantity", unit="m"),
-        "alpha": Field("number"),
+        "r": Field("quantity", unit="Ohm", required=True, lo=1e-6),
+        "T": Field("quantity", unit="K", required=True, lo=1e-3),   # 1 mK
+        "omega_z": _FREQUENCY,
+        "ell_L": Field("number", lo=1e-6),          # equivalent inductance, H
+        "d": Field("quantity", unit="m", **_LENGTH),
+        "alpha": Field("number", lo=0.01, hi=1.0),  # share of the field at the ion
     }),
     "stray_field": Field("block", schema={
-        "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
-        "S_U": Field("number", required=True),      # voltage noise, V^2 s
-        "U0": Field("quantity", unit="V", required=True),
-        "E_s": Field("number", required=True),      # static field, V/m
+        "omega_z": _FREQUENCY,
+        "S_U": Field("number", required=True, lo=1e-30),    # voltage noise, V^2 s
+        "U0": Field("quantity", unit="V", required=True, lo=0.0, hi=1e6),
+        "E_s": Field("number", required=True, lo=1e-6),     # static field, V/m
     }),
     "patch": Field("block", schema={
-        "theta": Field("number", required=True),
-        "D": Field("number", required=True),
-        "kappa_patch": Field("number", required=True),
-        "r_a": Field("quantity", unit="m", required=True),
-        "a_p": Field("quantity", unit="m", required=True),
-        "omega_z": Field("quantity", unit="Hz", angular=True, required=True),
-        "ell_L": Field("number", required=True),
+        "theta": Field("number", required=True, lo=1e-6, hi=1.0),   # coverage
+        "D": Field("number", required=True, lo=1e-30),      # diffusion, m^2/s
+        "kappa_patch": Field("number", required=True, lo=1e-3, hi=1e3),
+        "r_a": Field("quantity", unit="m", required=True, **_LENGTH),
+        "a_p": Field("quantity", unit="m", required=True, **_LENGTH),
+        "omega_z": _FREQUENCY,
+        "ell_L": Field("number", required=True, lo=1e-6),
     }),
     "collisions": Field("block", schema={
-        "polarizability": Field("number", required=True),   # volume, m^3
-        "gas_mass": Field("quantity", unit="kg", required=True),
-        "pressure": Field("quantity", unit="Pa", required=True),
-        "T": Field("quantity", unit="K", required=True),
+        "polarizability": Field("number", required=True, lo=1e-32),  # m^3; He 2e-31
+        "gas_mass": Field("quantity", unit="kg", required=True, **_MASS),
+        "pressure": Field("quantity", unit="Pa", required=True, lo=0.0),
+        "T": Field("quantity", unit="K", required=True, lo=1e-3),   # 1 mK
     }),
 }
 
@@ -483,7 +482,6 @@ def _run_heat(p: dict, seed: int) -> RunResult:
     rows, metrics = [], {}
     if p["resistive"] is not None:
         rs = p["resistive"]
-        _require_positive(rs, ("ell_L", "d"), "params.resistive")
         if rs["ell_L"] is not None:
             for k in ("d", "alpha"):
                 if rs[k] is not None:
@@ -507,7 +505,6 @@ def _run_heat(p: dict, seed: int) -> RunResult:
         metrics["stray_field_t_star_s"] = t
     if p["patch"] is not None:
         pa = p["patch"]
-        _require_positive(pa, ("ell_L",), "params.patch")
         t = patch_heating_time(pa["theta"], pa["D"], pa["kappa_patch"],
                                pa["r_a"], pa["a_p"], pa["omega_z"], pa["ell_L"])
         rows.append(("patch_t_star", t, "s"))
@@ -546,20 +543,20 @@ _NOISE_SCHEMA = {
         "spectator": ("Omega", "Omega_prime", "Delta", "duration",
                       "smooth_duration", "ramp_width")}),
     "mode_count": Field("int", required=True, lo=1, hi=_MAX_CELLS),
-    "eta": Field("number", required=True),
-    "nbar": Field("number", required=True),
-    "epsilon": Field("number", required=True),
-    "epsilon_values": Field("number_list"),
+    "eta": Field("number", required=True, **_ETA),
+    "nbar": Field("number", required=True, lo=0.0),
+    "epsilon": Field("number", required=True, lo=0.0),
+    "epsilon_values": Field("number_list", lo=0.0),
     "Omega": Field("quantity", unit="Hz", angular=True, required=True),
-    "slow_rms": Field("quantity", unit="Hz", angular=True, required=True),
-    "fast_ratio": Field("number", required=True),
-    "omega_amp": Field("quantity", unit="Hz", angular=True, required=True),
+    "slow_rms": Field("quantity", unit="Hz", angular=True, required=True, lo=0.0),
+    "fast_ratio": Field("number", required=True, lo=-0.3, hi=0.3),  # model's validity
+    "omega_amp": _FREQUENCY,
     "tau": Field("block", required=True, schema=_TAU_SCHEMA),
     "Omega_prime": Field("quantity", unit="Hz", angular=True, required=True),
     "Delta": Field("quantity", unit="Hz", angular=True, required=True),
-    "duration": Field("quantity", unit="s", required=True),
-    "smooth_duration": Field("quantity", unit="s"),   # default: same as duration
-    "ramp_width": Field("quantity", unit="s"),
+    "duration": Field("quantity", unit="s", required=True, **_DURATION),
+    "smooth_duration": Field("quantity", unit="s", **_DURATION),   # default: duration
+    "ramp_width": Field("quantity", unit="s", **_DURATION),
 }
 
 
@@ -581,7 +578,7 @@ def _run_noise(p: dict, seed: int) -> RunResult:
         }
         return RunResult(table, metrics)
     if op == "envelopes":
-        tau = _tau_grid(p["tau"], "params.tau")
+        tau = np.linspace(0.0, p["tau"]["stop"], p["tau"]["points"])
         gauss, lap = (slow_amplitude_noise_envelope(shape, p["slow_rms"], tau, p["Omega"])
                       for shape in ("gaussian", "laplacian"))
         fast = fast_amplitude_noise_visibility(
@@ -624,13 +621,13 @@ def _run_noise(p: dict, seed: int) -> RunResult:
 _CLOCK_SCHEMA = {
     "mode": Field("str", default="constrained_K3",
                   choices={"constrained_K3": ("K3",), "constrained_K1": ()}),
-    "L_values": Field("int_list", required=True),
-    "n_values": Field("number_list", required=True),
+    "L_values": Field("int_list", required=True, lo=1, hi=_MAX_CHAIN),
+    "n_values": Field("number_list", required=True, lo=-0.5, hi=10.0),  # C*t^n wander
     "epsilon_values": Field("number_list", default=(0.5, 1.0)),
-    "C": Field("number", required=True),
-    "K2": Field("number", default=2.0),
-    "K3": Field("number", default=10.0),
-    "tau": Field("quantity", unit="s", required=True),
+    "C": Field("number", required=True, lo=1e-12, hi=1e12),
+    "K2": Field("number", default=2.0, hi=1e6),
+    "K3": Field("number", default=10.0, hi=1e6),
+    "tau": Field("quantity", unit="s", required=True, **_DURATION),
 }
 
 
@@ -656,14 +653,15 @@ _TOMO_SCHEMA = {
     "op": Field("str", required=True, choices={
         "populations": ("populations", "gamma0", "tau", "n_cut", "noise_sigma"),
         "coherence": ("state",)}),
-    "populations": Field("number_list", required=True),
-    "Omega": Field("quantity", unit="Hz", angular=True, required=True),
-    "eta": Field("number", required=True),
-    "gamma0": Field("quantity", unit="Hz", required=True),   # base decay rate, 1/s
+    "populations": Field("number_list", required=True, lo=0.0, hi=1.0),
+    "Omega": _FREQUENCY,
+    "eta": Field("number", required=True, **_ETA),
+    "gamma0": Field("quantity", unit="Hz", required=True, lo=0.0),   # decay rate, 1/s
     "tau": Field("block", required=True, schema=_TAU_SCHEMA),
     # inversion basis: tau.points x (n_cut + 1)
-    "n_cut": Field("int", required=True, hi=_MAX_CELLS // _TAU_SCHEMA["points"].hi - 1),
-    "noise_sigma": Field("number", default=0.0),
+    "n_cut": Field("int", required=True, lo=0,
+                   hi=_MAX_CELLS // _TAU_SCHEMA["points"].hi - 1),
+    "noise_sigma": Field("number", default=0.0, lo=0.0),
     "state": Field("str", required=True, choices=("plus", "fock0", "plus_i")),
 }
 
@@ -677,7 +675,7 @@ _TOMO_STATES = {
 def _run_tomography(p: dict, seed: int) -> RunResult:
     if p["op"] == "populations":
         c = CouplingParams(Omega=p["Omega"], eta=p["eta"])
-        tau = _tau_grid(p["tau"], "params.tau")
+        tau = np.linspace(0.0, p["tau"]["stop"], p["tau"]["points"])
         sig = rabi_decay_signal(p["populations"], p["gamma0"], c, tau)
         if p["noise_sigma"] > 0:
             rng = np.random.default_rng(seed)

@@ -124,6 +124,7 @@ def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
     when a state's top Fock level holds more than 1e-8 (the truncated
     equations leak trace through it at rate gamma*nbar*(n_max+1)*rho[top])
     or its trace drifts more than 1e-9 from one; raise n_max for either.
+    RangeError when one step's gamma*(nbar+1)*(n_max+1)*h exceeds 1e10.
     Every yielded matrix re-validates hermiticity and positivity.
     """
     if not isinstance(rho, DensityMatrix):
@@ -140,6 +141,8 @@ def master_equation_trajectory(rho: DensityMatrix, b: BathParams, t_end: float,
         return
     n_max = rho.n_max
     N = n_max + 1
+    if b.gamma * (b.nbar + 1.0) * N * h > 1e10:     # expm breaks down near 1e12
+        raise RangeError("one step's gamma*(nbar+1)*(n_max+1)*t_end/steps exceeds 1e10")
     bands = {k: x for k in range(N) if (x := np.diagonal(rho.rho, -k)).any()}
     props = {}                  # kept for later steps, so one step holds one at a time
     lo = np.arange(N)

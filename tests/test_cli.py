@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionsim import cli
+from ionsim import cli, errors
 from ionsim._config import (
     Field,
     parse_config_text,
@@ -417,6 +417,12 @@ def _edge_cases(block, schema, path=()):
                 yield slot, edge
 
 
+# an exit 3 must name the ionsim error class that stopped the run, or a
+# params key
+ERROR_CLASSES = tuple(f"{name}:" for name, obj in vars(errors).items()
+                      if isinstance(obj, type) and issubclass(obj, Exception))
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -440,9 +446,12 @@ def test_edge_values_keep_exit_contract(name, tmp_path, capsys):
                 warnings.simplefilter("ignore")
                 rc = cli.main(["run", write_cfg(tmp_path, body), "--json",
                                "--out", str(tmp_path / "out")])
-            out = capsys.readouterr().out
+            cap = capsys.readouterr()
             if rc == 0:
-                _strict_json(out)
+                _strict_json(cap.out)
+            elif rc == 3 and not ("params." in cap.err
+                                  or any(c in cap.err for c in ERROR_CLASSES)):
+                broken.append(f"{where}: exit 3 names no key: {cap.err.strip()}")
             elif rc not in (2, 3):
                 broken.append(f"{where}: exit {rc}")
         except Exception as err:
@@ -491,8 +500,20 @@ def test_model_failure_exits_3_naming_its_cause(scenario, key, value, cause, tmp
     assert cause in err
 
 
+def test_stiff_master_equation_step_exits_3_naming_the_product(tmp_path, capsys):
+    # each key inside its range, but one step spans
+    # gamma*(nbar+1)*(n_max+1)*t_end/steps = 1e9 * 1.25 * 19 * 1e9 s
+    body = _bundled("heat.master_equation")
+    body["params"].update(gamma="1 GHz", t_end="1e9 s", points=2)
+    rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("physics error: RangeError:")
+    assert "gamma*(nbar+1)*(n_max+1)*t_end/steps" in err
+
+
 def _bounded_fields(schema, prefix=""):
-    """(dotted path, field) for every int or int_list field with a bound."""
+    """(dotted path, field) for every numeric field with a bound."""
     for key, f in schema.items():
         if f.kind == "block":
             yield from _bounded_fields(f.schema, f"{prefix}{key}.")
@@ -541,12 +562,28 @@ def _scope(schema, key):
     return None, []
 
 
+def _unit_si(f):
+    """SI value of one config unit of numeric field f (an int's is 1)."""
+    if f.kind != "quantity":
+        return 1
+    si = parse_quantity(f"1 {UNIT_TOKEN.get(f.unit, f.unit)}", f.unit, "p")
+    return si * (2.0 * math.pi if f.angular else 1.0)
+
+
+def _written(f, x):
+    """The SI value x of numeric field f as a config writes it."""
+    if f.kind == "quantity":
+        x = f"{x / _unit_si(f)!r} {UNIT_TOKEN.get(f.unit, f.unit)}"
+    return [x] if f.kind.endswith("_list") else x
+
+
 def _sample(f):
-    """A value that field f's own checks accept."""
-    low = max(f.lo or 1, 1)
-    return {"quantity": f"1 {UNIT_TOKEN.get(f.unit, f.unit)}", "number": 1.0,
-            "int": low, "int_list": [low], "number_list": [1.0], "bool": True,
-            "str": next(iter(f.choices), ""), "block": {}}[f.kind]
+    """A value that field f's own checks accept: one unit, moved into range."""
+    if f.kind in ("bool", "str", "block"):
+        return {"bool": True, "str": next(iter(f.choices), ""), "block": {}}[f.kind]
+    x = _unit_si(f)
+    x = x if f.lo is None else max(x, f.lo)
+    return _written(f, x if f.hi is None else min(x, f.hi))
 
 
 # optional blocks that no bundled scenario holds, with their required keys
@@ -589,6 +626,7 @@ def _body_at(kind, blocks, name=None, readers=()):
     return body, block
 
 
+# every bound of every numeric kind: integer caps and SI physical ranges
 @pytest.mark.parametrize("kind,path,side", BOUND_CASES,
                          ids=[":".join(case) for case in BOUND_CASES])
 def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
@@ -598,9 +636,9 @@ def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
     assert bound is not None, f"params.{path} of {kind} has no {side} bound"
     *blocks, key = path.split(".")
     body, block = _body_at(kind, blocks, *_scope(_schema_at(kind, blocks), key))
-    value = bound + 1 if side == "hi" else bound - 1
-    is_list = f.kind == "int_list"
-    block[key] = [value] if is_list else value
+    # one step outside the bound in SI: 1 for an integer, 1e-6 relative else
+    step = 1 if f.kind.startswith("int") else abs(bound) * 1e-6 or 1e-6
+    block[key] = _written(f, bound + step if side == "hi" else bound - step)
     cfg = write_cfg(tmp_path, body)
     tracemalloc.start()
     try:
@@ -610,7 +648,8 @@ def test_integer_bound_exits_2_before_allocating(kind, path, side, tmp_path,
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"params.{path}{'[0]' if is_list else ''}: must be" in err
+    where = f"params.{path}{'[0]' if f.kind.endswith('_list') else ''}"
+    assert f"{where}: must be {'<=' if side == 'hi' else '>='} {bound}" in err
     assert peak < 2**20          # a capped field's arrays start at tens of MiB
     assert not (tmp_path / "out").exists()
 
@@ -739,7 +778,8 @@ def test_estimator_length_not_positive_exits_2(block, key, value, tmp_path, caps
     body["params"][block][key] = value
     rc = cli.main(["run", write_cfg(tmp_path, body), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert f"params.{block}.{key}: must be > 0" in capsys.readouterr().err
+    lo = _field("heat", f"{block}.{key}").lo
+    assert f"params.{block}.{key}: must be >= {lo}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", [{"alpha": 0.8}, {}], ids=["alpha_0.8", "alpha_absent"])

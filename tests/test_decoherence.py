@@ -139,6 +139,18 @@ def test_evolution_input_validation():
         next(master_equation_trajectory(rho, b, 1.0, 0))
 
 
+def test_step_too_stiff_for_expm_raises_range_error():
+    # one step of gamma*(nbar+1)*(n_max+1)*h = 3e11; expm of a band
+    # generator breaks down near 1e12
+    rho = _fock_dm(0, 2)
+    b = BathParams(gamma=1.0, nbar=0.0)
+    with pytest.raises(RangeError, match=r"gamma\*\(nbar\+1\)\*\(n_max\+1\)"):
+        master_equation_evolve(rho, b, t=1e11)
+    # the same time in 100 steps stays under the bound
+    *_, last = master_equation_trajectory(rho, b, 1e11, 100)
+    assert last.rho[0, 0].real == pytest.approx(1.0)
+
+
 def test_truncation_guard_fires_on_undersized_basis():
     # start high in a hot bath so population piles onto the top level
     rho = _fock_dm(4, 6)
