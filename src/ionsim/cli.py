@@ -28,7 +28,9 @@ run reproducible: the same config and seed produce byte-identical CSV.
 The argument parser and the bundled-scenario directory are built once,
 at import. ``main`` may be called any number of times in one process
 (the tests and ``perfbench`` do so): each call parses into a fresh
-namespace, and one call leaves nothing behind that the next one reads.
+namespace, and one call leaves nothing behind that the next one reads
+but the spectator memo of ``decoherence.spectator_leakage``: a repeated
+``noise.spectator`` pulse skips its RK4 loop and writes the same bytes.
 """
 
 from __future__ import annotations

@@ -148,7 +148,9 @@ def _pulse_entries(p: PulseSpec, n_max: int):
     pairs = n_max - dn + 1
     Omegas = ladder(dn, pairs, p.coupling)
     Omega_ref = Omegas[min(ref)]
-    if Omega_ref == 0.0:
+    # the element vanishes when a pi pulse on it has no finite duration;
+    # a finite element under an overflowing area fails the unitarity check
+    if Omega_ref == 0.0 or math.pi / abs(float(Omega_ref)) == math.inf:
         raise RangeError(f"reference pair {ref} has a vanishing matrix element")
     half = np.abs(Omegas) * (theta_eff / (2.0 * abs(Omega_ref)))[..., None]
     c, s = np.cos(half), np.sin(half)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionsim import cli, errors
+from ionsim import cli, decoherence, errors
 from ionsim._config import (
     Field,
     parse_config_text,
@@ -488,7 +488,9 @@ def test_spectator_over_step_cap_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("scenario,key,value,cause", [
     ("trap.stability_be", "V0", "400 V", "stability"),          # q_x near 0.54
     ("cool.sideband", "omega_R", "10 MHz", "recoil dominates"),  # omega_R = omega_z
-], ids=["trap.stability_be", "cool.sideband"])
+    # a pi pulse on a 1e-308 sideband element outlasts the largest float
+    ("gate.cn_three_pulse", "aux_eta", 1e-308, "(1, 0) has a vanishing matrix element"),
+], ids=["trap.stability_be", "cool.sideband", "gate.cn_three_pulse"])
 def test_model_failure_exits_3_naming_its_cause(scenario, key, value, cause, tmp_path,
                                                 capsys):
     body = _bundled(scenario)
@@ -510,6 +512,19 @@ def test_stiff_master_equation_step_exits_3_naming_the_product(tmp_path, capsys)
     assert rc == 3
     assert err.startswith("physics error: RangeError:")
     assert "gamma*(nbar+1)*(n_max+1)*t_end/steps" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
+def test_repeated_spectator_runs_write_identical_csv(flags, tmp_path, capsys):
+    # the first run solves both pulses, the second reads the spectator memo
+    decoherence._spectator_solve.cache_clear()
+    csvs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(["run", "noise.spectator", "--out", str(out), *flags]) == 0
+        csvs.append((out / "noise.spectator.csv").read_bytes())
+    capsys.readouterr()
+    assert decoherence._spectator_solve.cache_info()[:2] == (2, 2)   # hits, misses
+    assert csvs[0] == csvs[1]
 
 
 def _bounded_fields(schema, prefix=""):

@@ -20,12 +20,14 @@ Oracles used here and nowhere else:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from ionsim import decoherence
 from ionsim.coupling import CouplingParams, rabi_frequency
 from ionsim.decoherence import (
     BathParams,
@@ -39,6 +41,8 @@ from ionsim.decoherence import (
     rabi_decay_signal,
     slow_amplitude_noise_envelope,
     spectator_leakage,
+    _SPECTATOR_CACHE,
+    _spectator_solve,
 )
 from ionsim.errors import (
     DimensionError,
@@ -149,6 +153,14 @@ def test_step_too_stiff_for_expm_raises_range_error():
     # the same time in 100 steps stays under the bound
     *_, last = master_equation_trajectory(rho, b, 1e11, 100)
     assert last.rho[0, 0].real == pytest.approx(1.0)
+
+
+def test_nan_state_raises_truncation_error(monkeypatch):
+    # a NaN propagator must stop at the guards, not in DensityMatrix's
+    # eigenvalue check
+    monkeypatch.setattr(decoherence, "expm", lambda a: np.full_like(a, np.nan))
+    with pytest.raises(TruncationError, match="top-level population nan"):
+        master_equation_evolve(_fock_dm(0, 4), BathParams(gamma=1.0, nbar=0.5), t=1.0)
 
 
 def test_truncation_guard_fires_on_undersized_basis():
@@ -644,6 +656,59 @@ def test_spectator_validation():
     with pytest.raises(ModelInputError):
         spectator_leakage(1.0, 1.0, Delta=10.0, envelope="smooth",
                           duration=1.0, tau_r=0.8)                   # ramps overlap
+
+
+def _same_result(a, b):
+    assert a.keys() == b.keys()
+    assert all(a[k] == b[k] for k in a if k != "amplitudes")
+    assert a["amplitudes"] is not b["amplitudes"]
+    assert np.array_equal(a["amplitudes"], b["amplitudes"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    Om=st.floats(0.0, 3.0),
+    Omp=st.floats(0.0, 3.0),
+    De=st.floats(5.0, 30.0) | st.floats(-30.0, -5.0),
+    T=st.floats(0.2, 2.0),
+    smooth=st.booleans(),
+)
+def test_spectator_memo_hit_equals_miss(Om, Omp, De, T, smooth):
+    kw = dict(envelope="smooth", duration=T, tau_r=T / 4.0) if smooth else dict(duration=T)
+    _spectator_solve.cache_clear()
+    miss = spectator_leakage(Om, Omp, De, **kw)
+    hit = spectator_leakage(Om, Omp, De, **kw)
+    assert _spectator_solve.cache_info()[:2] == (1, 1)     # hits, misses
+    _same_result(miss, hit)
+    # a caller that edits its copy does not reach the next one
+    hit["amplitudes"][:] = 0.0
+    _same_result(miss, spectator_leakage(Om, Omp, De, **kw))
+
+
+def test_spectator_memo_is_bounded():
+    _spectator_solve.cache_clear()
+    for k in range(2 * _SPECTATOR_CACHE):
+        spectator_leakage(1.0, 1.0, 20.0, duration=0.1 + 0.001 * k)
+    assert _spectator_solve.cache_info().currsize <= _SPECTATOR_CACHE
+
+
+@pytest.mark.parametrize("args,kw,cls,msg", [
+    ((1.0, 1.0, 0.0), {}, ModelInputError, "Delta must be nonzero"),
+    ((1.0, 1.0, 10.0), {"duration": 0.0}, RangeError, "duration must be > 0"),
+    ((1.0, 1.0, 10.0), {"duration": -1.0}, RangeError, "duration must be > 0"),
+    ((1.0, 1.0, 2e5), {"duration": 1.0}, RangeError, "RK4 steps, more than 1e+06"),
+    ((1.0, 1.0, 2e5), {"envelope": "smooth", "duration": 1.0, "tau_r": 0.25},
+     RangeError, "RK4 steps, more than 1e+06"),
+], ids=["zero-Delta", "zero-duration", "negative-duration", "over-cap", "over-cap-smooth"])
+def test_spectator_bad_input_raises_alike_first_and_repeated(args, kw, cls, msg):
+    _spectator_solve.cache_clear()
+    seen = []
+    for _ in range(2):
+        with pytest.raises(cls, match=re.escape(msg)) as err:
+            spectator_leakage(*args, **kw)
+        seen.append((type(err.value), str(err.value)))
+    assert seen[0] == seen[1]
+    assert _spectator_solve.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- coherence readout

@@ -298,6 +298,13 @@ def test_reference_pair_validation_against_truncation():
     with pytest.raises(RangeError):
         # eta=0 kills every sideband element
         pulse_unitary(PulseSpec("blue", 1.0, CouplingParams(1.0, 0.0)), n_max=2)
+    # eta=1e-308 leaves an element on which a pi pulse outlasts the
+    # largest float: named as vanishing, not as a NaN unitarity defect,
+    # and numpy warns nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"\(1, 0\) has a vanishing matrix element"):
+            cn_gate_three_pulse(CouplingParams(1.0, 1e-308))
 
 
 def test_magic_eta_carrier_flips_only_n1():
